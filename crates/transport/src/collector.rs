@@ -5,10 +5,9 @@
 //! The collector runs on the calling thread and shares only the
 //! [`Link`]s with the dealer. [`Collector::read`] is its single entry
 //! point: it brings a connection up on first use, absorbs `Heartbeat`
-//! echoes and `StatsReport` scrapes, folds shared-memory summaries out
-//! of the mapped ring, acknowledges every summary and close on its
-//! link, and turns any worker failure into a recovery under the run's
-//! [`RecoveryPolicy`].
+//! echoes and `StatsReport` scrapes, acknowledges every summary and
+//! close on its link, and turns any worker failure into a recovery
+//! under the run's [`RecoveryPolicy`].
 //!
 //! Detection is two-sided. A dead worker surfaces as an EOF or reset on
 //! the socket. A *hung* worker (e.g. `SIGSTOP`) is caught by the
@@ -30,89 +29,10 @@ use crate::link::Link;
 use crate::net::Conn;
 use crate::proto::{bad, Frame, FrameReader, FrameWriter, Role, PROTOCOL_VERSION};
 use qlove_core::QloveSummary;
-#[cfg(all(unix, not(miri)))]
-use qlove_shm::SummaryRing;
 use qlove_telemetry::{EventJournal, EventKind, Stopwatch};
 use std::io::{self, BufReader};
-#[cfg(all(unix, not(miri)))]
-use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::Duration;
-
-/// Slots in a per-connection shared-memory summary ring. The collector
-/// acknowledges each boundary before requesting the next, so a handful
-/// of slots is all the run-ahead a connection ever needs.
-pub const SHM_RING_SLOTS: usize = 4;
-/// Per-slot row capacity of a summary ring. Covers the full
-/// 3-significant-digit quantized domain (16,300 distinct values), so
-/// dense shard summaries always fit; an oversized summary falls back
-/// to the inline `BoundarySummary` frame path.
-pub const SHM_RING_CAP: usize = 16 * 1024;
-
-#[cfg(all(unix, not(miri)))]
-static RING_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// A coordinator-owned summary ring: created fresh for every
-/// (connection, attach) pair — a replacement worker never inherits a
-/// possibly-torn ring — and unlinked on drop so no map files leak
-/// across runs.
-#[cfg(all(unix, not(miri)))]
-struct CoordRing {
-    ring: SummaryRing,
-}
-
-#[cfg(all(unix, not(miri)))]
-impl CoordRing {
-    /// Create a uniquely named ring beside the worker's `shm:` base
-    /// path and announce it on `writer` with [`Frame::AttachShm`].
-    fn create_attached(base: &Path, writer: &mut FrameWriter<Conn>) -> io::Result<Self> {
-        let seq = RING_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut os = base.as_os_str().to_owned();
-        os.push(format!(".ring.{}.{}", std::process::id(), seq));
-        let path = PathBuf::from(os);
-        let ring = SummaryRing::create(&path, SHM_RING_SLOTS, SHM_RING_CAP)?;
-        writer.write_frame(&Frame::AttachShm {
-            path: path.to_string_lossy().into_owned(),
-            slots: SHM_RING_SLOTS as u64,
-            cap: SHM_RING_CAP as u64,
-        })?;
-        writer.flush()?;
-        Ok(Self { ring })
-    }
-}
-
-#[cfg(all(unix, not(miri)))]
-impl Drop for CoordRing {
-    fn drop(&mut self) {
-        if let Some(path) = self.ring.path() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// Per-connection ring holder; `None` on plain-socket connections (and
-/// the whole type degenerates on platforms without shm support).
-#[cfg(all(unix, not(miri)))]
-type RingSlot = Option<CoordRing>;
-#[cfg(not(all(unix, not(miri))))]
-type RingSlot = Option<()>;
-
-/// Create-and-attach a summary ring when `conn` is a `shm:` connection
-/// (a no-op `None` otherwise or on platforms without shm support).
-fn attach_ring(conn: &Conn, writer: &mut FrameWriter<Conn>) -> io::Result<RingSlot> {
-    #[cfg(all(unix, not(miri)))]
-    {
-        match conn.shm_base() {
-            Some(base) => Ok(Some(CoordRing::create_attached(base, writer)?)),
-            None => Ok(None),
-        }
-    }
-    #[cfg(not(all(unix, not(miri))))]
-    {
-        let _ = (conn, writer);
-        Ok(None)
-    }
-}
 
 pub(crate) type Reader = FrameReader<BufReader<Conn>>;
 
@@ -154,9 +74,9 @@ fn crash(e: io::Error) -> Fault {
     Fault::Worker((false, 0, e))
 }
 
-/// The collector's state for one run: per connection, the read half, a
-/// breaker handle that exists only to sever the socket, and the shm
-/// ring; plus the respawn hook and the recovery bookkeeping.
+/// The collector's state for one run: per connection, the read half and
+/// a breaker handle that exists only to sever the socket; plus the
+/// respawn hook and the recovery bookkeeping.
 pub(crate) struct Collector<'a, F> {
     policy: &'a RecoveryPolicy,
     links: &'a [Link<Conn>],
@@ -166,7 +86,6 @@ pub(crate) struct Collector<'a, F> {
     connect: F,
     readers: Vec<Option<Reader>>,
     breakers: Vec<Option<Conn>>,
-    rings: Vec<RingSlot>,
     restarts: Vec<u32>,
     /// Latest scraped worker counters, by session id.
     pub(crate) worker_stats: Vec<WorkerStats>,
@@ -189,29 +108,26 @@ impl<'a, F: FnMut(usize) -> io::Result<Conn>> Collector<'a, F> {
             connect,
             readers: links.iter().map(|_| None).collect(),
             breakers: links.iter().map(|_| None).collect(),
-            rings: links.iter().map(|_| None).collect(),
             restarts: vec![0; links.len()],
             worker_stats: vec![WorkerStats::default(); sessions],
         }
     }
 
-    /// Arm deadlines, handshake, and attach a ring on a new connection.
-    fn handshake(&self, conn: Conn) -> io::Result<(Reader, FrameWriter<Conn>, Conn, RingSlot)> {
+    /// Arm deadlines and handshake a new connection.
+    fn handshake(&self, conn: Conn) -> io::Result<(Reader, FrameWriter<Conn>, Conn)> {
         self.policy.arm(&conn)?;
         let breaker = conn.try_clone()?;
-        let (reader, mut writer) = hello(conn)?;
-        let ring = attach_ring(&breaker, &mut writer)?;
-        Ok((reader, writer, breaker, ring))
+        let (reader, writer) = hello(conn)?;
+        Ok((reader, writer, breaker))
     }
 
     /// Make `conn` link `c`'s connection: handshake it, then let the
     /// link open its sessions and replay its rings onto it.
     pub(crate) fn install(&mut self, c: usize, conn: Conn) -> io::Result<()> {
-        let (reader, writer, breaker, ring) = self.handshake(conn)?;
+        let (reader, writer, breaker) = self.handshake(conn)?;
         self.links[c].reinstall(writer, false)?;
         self.readers[c] = Some(reader);
         self.breakers[c] = Some(breaker);
-        self.rings[c] = ring;
         Ok(())
     }
 
@@ -235,56 +151,33 @@ impl<'a, F: FnMut(usize) -> io::Result<Conn>> Collector<'a, F> {
             self.install(c, conn).map_err(crash)?;
         }
         let frame = self.read_with_probe(c)?;
-        let (session, boundary, epoch, summary, bytes) = match frame {
+        match &frame {
             Frame::BoundarySummary {
                 session,
                 boundary,
-                epoch,
                 summary,
+                ..
             } => {
-                let bytes = self.readers[c].as_ref().map_or(0, Reader::last_frame_len);
-                (session, boundary, epoch, summary, bytes)
-            }
-            #[cfg(all(unix, not(miri)))]
-            Frame::ShmSummary {
-                session,
-                boundary,
-                epoch,
-                slot,
-            } => {
-                let summary = self.shm_summary(c, session, boundary, epoch, slot)?;
-                // Hand the slot back before acknowledging so the worker
-                // can reuse it immediately.
-                let _ = self.links[c].send(Frame::ShmAck { session, slot });
-                // Charge the bytes the summary actually moved: the shm
-                // rows, not the tiny descriptor frame.
-                let bytes = summary.counts().len() * 2 * std::mem::size_of::<u64>();
-                (session, boundary, epoch, summary, bytes)
+                self.links[c]
+                    .ack(*session, *boundary)
+                    .map_err(Fault::Protocol)?;
+                if let Some(m) = usize::try_from(*session)
+                    .ok()
+                    .and_then(|s| self.metrics.get(s))
+                {
+                    let bytes = self.readers[c].as_ref().map_or(0, Reader::last_frame_len);
+                    m.summary_bytes.add(bytes as u64);
+                    m.subwindow.set(summary.total() as i64);
+                }
             }
             Frame::CloseSession { session } => {
                 self.links[c]
-                    .close_acked(session)
+                    .close_acked(*session)
                     .map_err(Fault::Protocol)?;
-                return Ok(frame);
             }
-            other => return Ok(other),
-        };
-        self.links[c]
-            .ack(session, boundary)
-            .map_err(Fault::Protocol)?;
-        if let Some(m) = usize::try_from(session)
-            .ok()
-            .and_then(|s| self.metrics.get(s))
-        {
-            m.summary_bytes.add(bytes as u64);
-            m.subwindow.set(summary.total() as i64);
+            _ => {}
         }
-        Ok(Frame::BoundarySummary {
-            session,
-            boundary,
-            epoch,
-            summary,
-        })
+        Ok(frame)
     }
 
     /// Read one frame from `c`, absorbing heartbeat echoes and stats
@@ -340,35 +233,6 @@ impl<'a, F: FnMut(usize) -> io::Result<Conn>> Collector<'a, F> {
         }
     }
 
-    /// Fold a published summary out of link `c`'s mapped ring. A torn
-    /// or corrupt slot means the worker died (or scribbled) mid-publish,
-    /// which is handled exactly like a crash.
-    #[cfg(all(unix, not(miri)))]
-    fn shm_summary(
-        &self,
-        c: usize,
-        session: u64,
-        boundary: u64,
-        epoch: u64,
-        slot: u64,
-    ) -> Result<QloveSummary, Fault> {
-        let Some(CoordRing { ring }) = self.rings[c].as_ref() else {
-            let e = bad(format!("connection {c}: shm summary with no ring attached"));
-            return Err(Fault::Protocol(e));
-        };
-        if slot >= ring.slots() as u64 {
-            let e = bad(format!("connection {c}: shm slot {slot} out of range"));
-            return Err(Fault::Protocol(e));
-        }
-        let mut rows = Vec::new();
-        ring.read_into(slot as usize, session, boundary, epoch, &mut rows)
-            .and_then(|()| {
-                QloveSummary::from_counts(rows)
-                    .ok_or_else(|| bad("shm slot rows are not a valid summary"))
-            })
-            .map_err(crash)
-    }
-
     /// Drive recovery of link `c` to completion or declare the run dead.
     /// The failure verdict and one terminal record per restored session
     /// land in the run's journal.
@@ -390,13 +254,12 @@ impl<'a, F: FnMut(usize) -> io::Result<Conn>> Collector<'a, F> {
         let (restarts, outcome) = drive_restarts(policy, c as u64, self.restarts[c], || {
             let restore = Stopwatch::start();
             let conn = (self.connect)(c)?;
-            let (reader, writer, breaker, ring) = self.handshake(conn)?;
+            let (reader, writer, breaker) = self.handshake(conn)?;
             let restore_us = restore.elapsed_us();
             let replay = Stopwatch::start();
             let restored = self.links[c].reinstall(writer, true)?;
             self.readers[c] = Some(reader);
             self.breakers[c] = Some(breaker);
-            self.rings[c] = ring;
             Ok((restored, restore_us, replay.elapsed_us()))
         });
         self.restarts[c] = restarts;

@@ -462,16 +462,27 @@ where
         // expected epoch stamp are functions of the boundary.
         let collect = |b: usize, group: &mut Vec<_>| -> io::Result<()> {
             let epoch = schedule.epoch_at(b as u64);
+            // The group must stand for exactly the elements dealt into
+            // this boundary — anything else would poison the merge. A
+            // worker reports its own totals, so no single one may exceed
+            // the dealt count and their sum must not wrap.
+            let expected = (values.len() - b * period).min(period) as u64;
             let mut total = 0u64;
             for &(_, slot) in schedule.table(epoch).bounds() {
                 let summary =
                     collector.summary(plan.conn_of[slot], slot as u64, b as u64, epoch)?;
-                total += summary.total();
+                let covered = summary.total();
+                total = total
+                    .checked_add(covered)
+                    .filter(|_| covered <= expected)
+                    .ok_or_else(|| {
+                        bad(format!(
+                            "boundary {b}: slot {slot} summary covers {covered} elements, \
+                             dealt {expected}"
+                        ))
+                    })?;
                 group.push(summary);
             }
-            // The group must stand for exactly the elements dealt into
-            // this boundary — anything else would poison the merge.
-            let expected = (values.len() - b * period).min(period) as u64;
             if total != expected {
                 return Err(bad(format!(
                     "boundary {b}: summaries cover {total} elements, dealt {expected}"

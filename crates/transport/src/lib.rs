@@ -22,7 +22,7 @@
 //! * **The collector** — reads the connection that hosts the oldest
 //!   incomplete group, demuxes responses by `(session, boundary,
 //!   epoch)`, absorbs `Heartbeat` echoes and `StatsReport` scrapes,
-//!   folds shared-memory summaries, and runs the one recovery:
+//!   and runs the one recovery:
 //!   re-handshake, send `OpenSession` + `Restore{acked}` (+
 //!   `Reshard{epoch}`) for every session not closed, replay its ring,
 //!   and re-send `Shutdown` if it was already dealt.
@@ -48,15 +48,14 @@
 //!
 //! ## Modules
 //!
-//! * [`proto`] — the framed QLVT wire protocol (v5): length-prefixed,
+//! * [`proto`] — the framed QLVT wire protocol (v6): length-prefixed,
 //!   versioned frames carrying the QLVS summary codec plus control
 //!   messages. Every post-handshake frame is **session-scoped** (leads
 //!   with a varint session ID), so one connection multiplexes many
 //!   independent windows: `Hello`, `OpenSession`/`CloseSession`,
 //!   `EventBatch`, `Boundary`, `BoundarySummary`, `Answer`,
-//!   `Heartbeat`, `Restore`, `Shutdown`, the v4 shared-memory
-//!   plane (`AttachShm`/`ShmSummary`/`ShmAck`), and the v5 telemetry
-//!   scrape (`StatsRequest`/`StatsReport`). Strict decoding:
+//!   `Heartbeat`, `Restore`, `Reshard`, `Shutdown`, and the v5
+//!   telemetry scrape (`StatsRequest`/`StatsReport`). Strict decoding:
 //!   malformed input errors, never panics.
 //! * [`worker`] — the worker runtime: a **multi-session server**
 //!   holding a slab of independent per-session states — distinct
@@ -74,29 +73,7 @@
 //!   deterministic [`RecoveryPolicy`] backoff jitter.
 //!
 //! [`net`] holds the socket plumbing (endpoints, listeners, duplex
-//! connections over TCP/UDS, plus the same-host `shm:` endpoint whose
-//! control frames ride a UDS side-channel).
-//!
-//! ## The zero-copy shared-memory data plane (`shm:`)
-//!
-//! A `shm:PATH` endpoint keeps the whole QLVT control protocol on a
-//! Unix socket but moves the bulky boundary-summary payloads through
-//! shared memory. On connect, the coordinator creates a per-connection
-//! [`SummaryRing`](qlove_shm::SummaryRing) file (a small slab of
-//! seqlock-stamped slots) and announces it with `AttachShm`; at each
-//! boundary the worker publishes its `(value, freq)` rows into a free
-//! slot and sends a tiny `ShmSummary` descriptor frame instead of the
-//! inline `BoundarySummary`. The coordinator folds rows straight out
-//! of the mapping, validates the seqlock (a torn or corrupt slot is
-//! handled exactly like a worker crash: sever, respawn, replay), and
-//! returns the slot with `ShmAck`. Workers additionally keep their
-//! dense Level-1 state in an mmap-backed checkpoint file beside the
-//! endpoint, so a respawned same-host worker restores by **remapping**
-//! the file — skipping the already-absorbed replay prefix — instead of
-//! replaying QLVS state through the socket. Everything degrades to the
-//! inline path (no ring, full summary frames) whenever attach fails,
-//! slots run out, or a summary outgrows a slot; answers stay
-//! bit-identical either way.
+//! connections over TCP/UDS).
 //!
 //! The invariant carried over from the thread executor is
 //! non-negotiable: socket-distributed answers — values, provenance,
@@ -117,10 +94,7 @@ pub mod reshard;
 pub mod sessions;
 pub mod worker;
 
-#[cfg(all(unix, not(miri)))]
-pub use chaos::TornWrite;
 pub use chaos::{interpose, ChaosProxy, CutAfter, Fate, FaultInjector, NoFaults, SeededRng};
-pub use collector::{SHM_RING_CAP, SHM_RING_SLOTS};
 pub use coordinator::{
     run_over_sockets, run_remote_operator, run_remote_operator_with_policy, run_supervised,
     DistributedRun, RecoveryPolicy, TransportError, WorkerStats,
@@ -545,82 +519,6 @@ mod tests {
         Ok(())
     }
 
-    /// Every regular file in `base`'s directory whose name starts with
-    /// `base`'s file name — rings, checkpoints, and the side-channel
-    /// socket all derive their names from the endpoint base, so an
-    /// empty answer here proves nothing leaked.
-    #[cfg(all(unix, not(miri)))]
-    fn shm_residue(base: &std::path::Path) -> Vec<String> {
-        let dir = base.parent().expect("base has a parent directory");
-        let prefix = base
-            .file_name()
-            .expect("base has a file name")
-            .to_string_lossy()
-            .into_owned();
-        std::fs::read_dir(dir)
-            .expect("read shm dir")
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|name| name.starts_with(&prefix))
-            .collect()
-    }
-
-    #[cfg(all(unix, not(miri)))]
-    #[test]
-    fn loopback_shm_session_is_bit_identical_and_leaks_nothing() {
-        // The shm data plane differential at thread scope: summaries
-        // travel through the mapped seqlock ring (control frames on the
-        // UDS side-channel), dense Level-1 state lives in mmap-backed
-        // checkpoint files, and the answers must still be bit-identical
-        // to a sequential run — with every base-derived file gone once
-        // the run finishes.
-        for backend in [Backend::Tree, Backend::Dense] {
-            let cfg = config().backend(backend);
-            let data: Vec<u64> = (0..10_250u64).map(|i| (i * 2654435761) % 9_973).collect();
-            let want = sequential(&cfg, &data);
-            assert!(!want.is_empty());
-            for shards in [1usize, 3] {
-                let tag = format!("qlove-shm-lib-{}-{backend:?}-{shards}", std::process::id())
-                    .to_lowercase();
-                let mut conns = Vec::new();
-                let mut joins = Vec::new();
-                let mut bases = Vec::new();
-                for i in 0..shards {
-                    let base = std::env::temp_dir().join(format!("{tag}-{i}"));
-                    let server = WorkerServer::bind(&Endpoint::Shm(base.clone())).unwrap();
-                    let endpoint = server.local_endpoint().unwrap();
-                    joins.push(std::thread::spawn(move || server.serve_one()));
-                    conns.push(Conn::connect_retry(&endpoint, Duration::from_secs(5)).unwrap());
-                    bases.push(base);
-                }
-                let mut coordinator = Qlove::new(cfg.clone());
-                let run = run_over_sockets(&cfg, &mut coordinator, conns, &data).unwrap();
-                assert_eq!(run.answers, want, "{backend:?} shards {shards}");
-                assert_eq!(coordinator.pending(), data.len() % cfg.period);
-                for join in joins {
-                    let report = join.join().unwrap().unwrap();
-                    assert_eq!(report.responses(), run.stats.boundaries as u64);
-                    // The data plane must actually engage — a silent
-                    // fall-back to inline summaries would make this
-                    // differential vacuous. (Not asserted equal to
-                    // responses(): a worker running ahead of the acks
-                    // may legitimately ship a few inline.)
-                    assert!(
-                        report.shm_summaries() > 0,
-                        "{backend:?} shards {shards}: ring never used"
-                    );
-                }
-                for base in bases {
-                    assert_eq!(
-                        shm_residue(&base),
-                        Vec::<String>::new(),
-                        "{backend:?} shards {shards}: stale shm files"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn empty_stream_session_shuts_down_cleanly() {
         let cfg = config();
@@ -677,6 +575,56 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         join.join().unwrap();
         Ok(())
+    }
+
+    /// Two scripted workers answer boundary 0 with totals `u64::MAX`
+    /// and `period + 1`. Their wrapping sum is exactly `period`, so the
+    /// "covers what was dealt" check alone would pass them on to
+    /// `Qlove::merge`; the coordinator must instead refuse them with
+    /// `InvalidData`, not panic.
+    #[cfg(unix)]
+    #[test]
+    fn coordinator_rejects_hostile_summary_totals() {
+        let cfg = config();
+        let period = cfg.period as u64;
+        let mut conns = Vec::new();
+        let mut joins = Vec::new();
+        for total in [u64::MAX, period + 1] {
+            let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+            conns.push(Conn::Unix(ours));
+            joins.push(std::thread::spawn(move || -> io::Result<()> {
+                let conn = Conn::Unix(theirs);
+                let mut reader = FrameReader::new(std::io::BufReader::new(conn.try_clone()?));
+                let mut writer = FrameWriter::new(conn);
+                reader.read_frame()?; // coordinator hello
+                writer.write_frame(&Frame::Hello {
+                    version: PROTOCOL_VERSION,
+                    role: Role::Worker,
+                })?;
+                writer.flush()?;
+                // Answer every boundary with the hostile total and read
+                // until the coordinator hangs up.
+                loop {
+                    if let Frame::Boundary { session, boundary } = reader.read_frame()? {
+                        writer.write_frame(&Frame::BoundarySummary {
+                            session,
+                            boundary,
+                            epoch: 0,
+                            summary: qlove_core::QloveSummary::from_counts(vec![(1, total)])
+                                .unwrap(),
+                        })?;
+                        writer.flush()?;
+                    }
+                }
+            }));
+        }
+        let data: Vec<u64> = (0..period).collect();
+        let mut coordinator = Qlove::new(cfg.clone());
+        let err = run_over_sockets(&cfg, &mut coordinator, conns, &data).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        for join in joins {
+            assert!(join.join().unwrap().is_err(), "worker reads until hang-up");
+        }
     }
 
     #[test]

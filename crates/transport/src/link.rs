@@ -324,9 +324,8 @@ impl<W: Write> Link<W> {
         Ok(())
     }
 
-    /// Write a frame that is not dealt — a heartbeat probe or an shm
-    /// slot return — so it never enters a ring. Fails when the link is
-    /// down.
+    /// Write a frame that is not dealt — a heartbeat probe — so it
+    /// never enters a ring. Fails when the link is down.
     pub(crate) fn send(&self, frame: Frame) -> io::Result<()> {
         write_through(&mut lock(&self.writer), &[frame], true)
     }

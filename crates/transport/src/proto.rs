@@ -10,6 +10,8 @@
 //! └────────────┴──────────┴──────────────────────┘
 //! ```
 //!
+//! Frame types under protocol v6:
+//!
 //! | type | frame             | payload                                              |
 //! |------|-------------------|------------------------------------------------------|
 //! | 1    | `Hello`           | magic `"QLVT"`, version u8, role u8                  |
@@ -23,6 +25,11 @@
 //! | 9    | `Restore`         | varint session id, varint boundary, QLVS checkpoint  |
 //! | 10   | `CloseSession`    | varint session id                                    |
 //! | 11   | `Reshard`         | varint session id, varint boundary, varint epoch     |
+//! | 15   | `StatsRequest`    | varint session id                                    |
+//! | 16   | `StatsReport`     | varint session id, then four counter varints         |
+//!
+//! Types 12–14 carried the shared-memory data plane in v4 and v5; v6
+//! retired them, so they decode as unknown frame types.
 //!
 //! Since protocol v2 a single connection multiplexes many independent
 //! sessions: every post-handshake frame except `Shutdown` leads with a
@@ -53,15 +60,11 @@ pub const PROTOCOL_MAGIC: &[u8; 4] = b"QLVT";
 /// Current protocol version. v2 made every post-handshake frame
 /// session-scoped (multi-session connections); v3 added live
 /// resharding (the `Reshard` frame and the epoch stamp on
-/// `BoundarySummary`); v4 added the shared-memory data plane
-/// (`AttachShm`/`ShmSummary`/`ShmAck`); v5 added on-demand worker
-/// stats scraping (`StatsRequest`/`StatsReport`). Older peers are
-/// rejected at the hello exchange.
-pub const PROTOCOL_VERSION: u8 = 5;
-/// Hard cap on the ring path carried by [`Frame::AttachShm`] — one
-/// filesystem path, so `PATH_MAX`-ish is plenty and a corrupt length
-/// cannot force a large allocation.
-pub const MAX_SHM_PATH_LEN: usize = 4096;
+/// `BoundarySummary`); v4 added a shared-memory data plane (types
+/// 12–14); v5 added on-demand worker stats scraping
+/// (`StatsRequest`/`StatsReport`); v6 retired types 12–14. Older peers
+/// are rejected at the hello exchange.
+pub const PROTOCOL_VERSION: u8 = 6;
 /// Hard cap on a frame's declared payload length. An `EventBatch` of
 /// the executor's batch size costs at most ~41 KB; 16 MiB leaves room
 /// for huge unquantized summaries while bounding what a corrupt length
@@ -226,43 +229,6 @@ pub enum Frame {
         /// The new reshard epoch (monotonically increasing per run).
         epoch: u64,
     },
-    /// Coordinator → worker (`shm:` connections only): a summary ring
-    /// is mapped at `path`; publish boundary summaries through it
-    /// instead of inline [`Frame::BoundarySummary`] payloads.
-    /// Connection-scoped — one ring serves every session on the
-    /// connection. A worker that cannot open the ring simply keeps
-    /// sending inline summaries; the coordinator accepts both.
-    AttachShm {
-        /// Filesystem path of the ring file created by the
-        /// coordinator (UTF-8, at most [`MAX_SHM_PATH_LEN`] bytes).
-        path: String,
-        /// Number of slots in the ring.
-        slots: u64,
-        /// Per-slot row capacity.
-        cap: u64,
-    },
-    /// Worker → coordinator: the summary for `boundary` was published
-    /// into ring slot `slot`; fold it straight out of the map. Replaces
-    /// the inline [`Frame::BoundarySummary`] when a ring is attached.
-    ShmSummary {
-        /// Which session this summary belongs to.
-        session: u64,
-        /// Which boundary this summary closes.
-        boundary: u64,
-        /// The session's reshard epoch (same contract as
-        /// [`Frame::BoundarySummary::epoch`]).
-        epoch: u64,
-        /// Ring slot holding the rows.
-        slot: u64,
-    },
-    /// Coordinator → worker: the rows in `slot` have been folded; the
-    /// slot may be reused for a later boundary.
-    ShmAck {
-        /// Which session the acknowledged summary belonged to.
-        session: u64,
-        /// The freed ring slot.
-        slot: u64,
-    },
     /// Coordinator → worker (v5): report the named session's ingest
     /// counters now. Like [`Frame::Heartbeat`], the worker answers
     /// regardless of whether the session exists (all-zero counters for
@@ -305,9 +271,6 @@ impl Frame {
             Frame::Restore { .. } => 9,
             Frame::CloseSession { .. } => 10,
             Frame::Reshard { .. } => 11,
-            Frame::AttachShm { .. } => 12,
-            Frame::ShmSummary { .. } => 13,
-            Frame::ShmAck { .. } => 14,
             Frame::StatsRequest { .. } => 15,
             Frame::StatsReport { .. } => 16,
         }
@@ -662,27 +625,6 @@ fn encode_payload(buf: &mut Vec<u8>, frame: &Frame) {
             write_uvarint(buf, *boundary);
             write_uvarint(buf, *epoch);
         }
-        Frame::AttachShm { path, slots, cap } => {
-            write_uvarint(buf, path.len() as u64);
-            buf.extend_from_slice(path.as_bytes());
-            write_uvarint(buf, *slots);
-            write_uvarint(buf, *cap);
-        }
-        Frame::ShmSummary {
-            session,
-            boundary,
-            epoch,
-            slot,
-        } => {
-            write_uvarint(buf, *session);
-            write_uvarint(buf, *boundary);
-            write_uvarint(buf, *epoch);
-            write_uvarint(buf, *slot);
-        }
-        Frame::ShmAck { session, slot } => {
-            write_uvarint(buf, *session);
-            write_uvarint(buf, *slot);
-        }
         Frame::StatsRequest { session } => write_uvarint(buf, *session),
         Frame::StatsReport {
             session,
@@ -795,35 +737,6 @@ pub fn decode_frame(frame_type: u8, mut payload: &[u8]) -> io::Result<Frame> {
             session: read_varint(data, "session id")?,
             boundary: read_varint(data, "reshard boundary index")?,
             epoch: read_varint(data, "reshard epoch")?,
-        },
-        12 => {
-            let len = read_varint(data, "shm path length")? as usize;
-            if len > MAX_SHM_PATH_LEN {
-                return Err(bad(format!("shm path length {len} exceeds cap")));
-            }
-            if data.len() < len {
-                return Err(bad("truncated shm path"));
-            }
-            let (path_bytes, rest) = data.split_at(len);
-            *data = rest;
-            let path = std::str::from_utf8(path_bytes)
-                .map_err(|_| bad("shm path is not UTF-8"))?
-                .to_owned();
-            Frame::AttachShm {
-                path,
-                slots: read_varint(data, "shm slot count")?,
-                cap: read_varint(data, "shm slot capacity")?,
-            }
-        }
-        13 => Frame::ShmSummary {
-            session: read_varint(data, "session id")?,
-            boundary: read_varint(data, "boundary index")?,
-            epoch: read_varint(data, "reshard epoch")?,
-            slot: read_varint(data, "ring slot")?,
-        },
-        14 => Frame::ShmAck {
-            session: read_varint(data, "session id")?,
-            slot: read_varint(data, "ring slot")?,
         },
         15 => Frame::StatsRequest {
             session: read_varint(data, "session id")?,
@@ -1119,36 +1032,6 @@ mod tests {
                 boundary: u64::MAX,
                 epoch: u64::MAX,
             },
-            Frame::AttachShm {
-                path: String::new(),
-                slots: 0,
-                cap: 0,
-            },
-            Frame::AttachShm {
-                path: "/tmp/qlove.ring.1".to_owned(),
-                slots: 64,
-                cap: u64::MAX,
-            },
-            Frame::ShmSummary {
-                session: 0,
-                boundary: 0,
-                epoch: 0,
-                slot: 0,
-            },
-            Frame::ShmSummary {
-                session: u64::MAX,
-                boundary: u64::MAX,
-                epoch: u64::MAX,
-                slot: u64::MAX,
-            },
-            Frame::ShmAck {
-                session: 0,
-                slot: 63,
-            },
-            Frame::ShmAck {
-                session: u64::MAX,
-                slot: u64::MAX,
-            },
             Frame::StatsRequest { session: 0 },
             Frame::StatsRequest { session: u64::MAX },
             Frame::StatsReport {
@@ -1367,6 +1250,18 @@ mod tests {
         assert!(decode_frame(0, &[]).is_err());
         assert!(decode_frame(17, &[]).is_err());
         assert!(decode_frame(255, &[1, 2, 3]).is_err());
+        // Types 12–14 (the shm frames of v4/v5) were retired in v6: a
+        // payload that decoded under v5 is now an unknown type.
+        let mut attach = Vec::new();
+        write_uvarint(&mut attach, 2);
+        attach.extend_from_slice(b"/x");
+        attach.extend_from_slice(&[4, 8]);
+        let retired: [(u8, &[u8]); 3] = [(12, &attach), (13, &[0, 0, 0, 0]), (14, &[0, 0])];
+        for (ty, payload) in retired {
+            let err = decode_frame(ty, payload).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "type {ty}");
+            assert!(err.to_string().contains("unknown frame type"), "type {ty}");
+        }
         // Bad hello: wrong magic, wrong length, unknown role.
         assert!(decode_frame(1, b"NOPE\x01\x00").is_err());
         assert!(decode_frame(1, b"QLVT\x01").is_err());
@@ -1450,58 +1345,6 @@ mod tests {
         write_uvarint(&mut qlvs, u64::MAX);
         payload.extend_from_slice(&qlvs);
         assert!(decode_frame(9, &payload).is_err());
-    }
-
-    /// The v4 shm frames face the same hostile-input contract as every
-    /// other frame: a corrupt path length must be rejected before any
-    /// allocation, and truncation or trailing bytes surface as errors.
-    #[test]
-    fn rejects_corrupt_shm_frames() {
-        // AttachShm: declared path length beyond the cap must die
-        // before allocation, even when the payload is tiny.
-        for len in [
-            MAX_SHM_PATH_LEN as u64 + 1,
-            u64::from(u32::MAX),
-            usize::MAX as u64,
-            u64::MAX,
-        ] {
-            let mut payload = Vec::new();
-            write_uvarint(&mut payload, len);
-            assert!(decode_frame(12, &payload).is_err(), "path len {len}");
-        }
-        // Path length exceeding the bytes actually present.
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, 10);
-        payload.extend_from_slice(b"short");
-        assert!(decode_frame(12, &payload).is_err());
-        // Non-UTF-8 path bytes.
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, 2);
-        payload.extend_from_slice(&[0xff, 0xfe]);
-        write_uvarint(&mut payload, 4);
-        write_uvarint(&mut payload, 8);
-        assert!(decode_frame(12, &payload).is_err());
-        // Truncated after the path (missing slots/cap varints).
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, 2);
-        payload.extend_from_slice(b"/x");
-        assert!(decode_frame(12, &payload).is_err());
-        // A maximal-length path is accepted; one byte more is not.
-        let mut payload = Vec::new();
-        write_uvarint(&mut payload, MAX_SHM_PATH_LEN as u64);
-        payload.extend_from_slice(&vec![b'a'; MAX_SHM_PATH_LEN]);
-        write_uvarint(&mut payload, 1);
-        write_uvarint(&mut payload, 1);
-        assert!(decode_frame(12, &payload).is_ok());
-        // ShmSummary/ShmAck: truncated varints and trailing bytes.
-        assert!(decode_frame(13, &[]).is_err());
-        assert!(decode_frame(13, &[0, 0, 0, 0x80]).is_err());
-        assert!(decode_frame(13, &[0, 0, 0, 0]).is_ok());
-        assert!(decode_frame(13, &[0, 0, 0, 0, 0]).is_err());
-        assert!(decode_frame(14, &[]).is_err());
-        assert!(decode_frame(14, &[0x80]).is_err());
-        assert!(decode_frame(14, &[0, 0]).is_ok());
-        assert!(decode_frame(14, &[0, 0, 0]).is_err());
     }
 
     /// The v5 stats frames face the same hostile-input contract:

@@ -1243,6 +1243,68 @@ mod tests {
         }
     }
 
+    /// Types 12–14 (`AttachShm`/`ShmSummary`/`ShmAck`, the shm frames of
+    /// v4/v5) were retired in v6. Every payload of those types — the
+    /// hostile ones v5 rejected and the ones v5 accepted alike — is now
+    /// an unknown frame type: `InvalidData`, never a panic or a frame.
+    #[test]
+    fn rejects_corrupt_shm_frames() {
+        // v5's path-length cap; a longer path was rejected before
+        // allocation.
+        const OLD_PATH_CAP: usize = 4096;
+        let mut retired: Vec<(u8, Vec<u8>)> = Vec::new();
+        // AttachShm: declared path lengths beyond the old cap.
+        for len in [
+            OLD_PATH_CAP as u64 + 1,
+            u64::from(u32::MAX),
+            usize::MAX as u64,
+            u64::MAX,
+        ] {
+            let mut payload = Vec::new();
+            write_uvarint(&mut payload, len);
+            retired.push((12, payload));
+        }
+        // AttachShm: path length exceeding the bytes present, non-UTF-8
+        // path bytes, truncation after the path.
+        let mut payload = Vec::new();
+        write_uvarint(&mut payload, 10);
+        payload.extend_from_slice(b"short");
+        retired.push((12, payload));
+        let mut payload = Vec::new();
+        write_uvarint(&mut payload, 2);
+        payload.extend_from_slice(&[0xff, 0xfe, 4, 8]);
+        retired.push((12, payload));
+        let mut payload = Vec::new();
+        write_uvarint(&mut payload, 2);
+        payload.extend_from_slice(b"/x");
+        retired.push((12, payload.clone()));
+        // AttachShm that decoded under v5: a short path and a path of
+        // exactly the old cap, each with slots/cap varints.
+        payload.extend_from_slice(&[4, 8]);
+        retired.push((12, payload));
+        let mut payload = Vec::new();
+        write_uvarint(&mut payload, OLD_PATH_CAP as u64);
+        payload.extend_from_slice(&vec![b'a'; OLD_PATH_CAP]);
+        payload.extend_from_slice(&[1, 1]);
+        retired.push((12, payload));
+        // ShmSummary and ShmAck: empty, torn varint, the v5-valid shape,
+        // trailing bytes.
+        for payload in [&[][..], &[0, 0, 0, 0x80], &[0, 0, 0, 0], &[0, 0, 0, 0, 0]] {
+            retired.push((13, payload.to_vec()));
+        }
+        for payload in [&[][..], &[0x80], &[0, 0], &[0, 0, 0]] {
+            retired.push((14, payload.to_vec()));
+        }
+        for (ty, payload) in &retired {
+            let err = decode_frame(*ty, payload).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "type {ty}");
+            assert!(
+                err.to_string().contains("unknown frame type"),
+                "type {ty}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn rejects_structural_corruption() {
         // Unknown frame type (15/16 became the stats scrape in v5; 17
@@ -1250,18 +1312,6 @@ mod tests {
         assert!(decode_frame(0, &[]).is_err());
         assert!(decode_frame(17, &[]).is_err());
         assert!(decode_frame(255, &[1, 2, 3]).is_err());
-        // Types 12–14 (the shm frames of v4/v5) were retired in v6: a
-        // payload that decoded under v5 is now an unknown type.
-        let mut attach = Vec::new();
-        write_uvarint(&mut attach, 2);
-        attach.extend_from_slice(b"/x");
-        attach.extend_from_slice(&[4, 8]);
-        let retired: [(u8, &[u8]); 3] = [(12, &attach), (13, &[0, 0, 0, 0]), (14, &[0, 0])];
-        for (ty, payload) in retired {
-            let err = decode_frame(ty, payload).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "type {ty}");
-            assert!(err.to_string().contains("unknown frame type"), "type {ty}");
-        }
         // Bad hello: wrong magic, wrong length, unknown role.
         assert!(decode_frame(1, b"NOPE\x01\x00").is_err());
         assert!(decode_frame(1, b"QLVT\x01").is_err());

@@ -56,8 +56,8 @@
 //! *connection*, not with any one session. `--coordinate`
 //! deals the stream to the workers, pipelines summary merging against
 //! their ingest, and prints answers bit-identical to a single-process
-//! run. `--connect ADDR` instead streams the input to one remote
-//! full-operator worker and prints the answers it sends back.
+//! run. `--connect ADDR` instead runs the input as one operator-mode
+//! session on the worker and prints the answers it sends back.
 //!
 //! `--connect ADDR --sessions N` exercises the multi-session side of
 //! that server: the input is split into N contiguous slices and each
@@ -623,8 +623,8 @@ fn run_coordinate_mode(args: &Args) -> Result<(), String> {
     )
 }
 
-/// `--connect ENDPOINT`: stream the input to one remote full-operator
-/// worker and print the answers it sends back. With `--sessions N`,
+/// `--connect ENDPOINT`: run the input as one operator-mode session on
+/// the worker and print the answers it sends back. With `--sessions N`,
 /// split the input into N independent shard-mode sessions instead and
 /// multiplex all of them over the one connection.
 fn run_connect_mode(args: &Args, spec: &str) -> Result<(), String> {
@@ -646,17 +646,27 @@ fn run_connect_mode(args: &Args, spec: &str) -> Result<(), String> {
         return run_sessions_mode(args, &cfg, endpoint, conn, values);
     }
     // The remote operator holds the full window state, so a crash is
-    // unrecoverable; the policy only adds heartbeat-based detection of
-    // hung workers instead of blocking forever.
-    let answers = qlove_transport::run_remote_operator_with_policy(
-        &cfg,
-        conn,
-        &values,
-        &recovery_policy(args),
-    )
+    // unrecoverable: no restarts, and the respawn hook is never called.
+    // The policy only adds heartbeat-based detection of hung workers
+    // instead of blocking forever.
+    let policy = qlove_transport::RecoveryPolicy {
+        max_restarts: 0,
+        ..recovery_policy(args)
+    };
+    let spec = qlove_transport::SessionSpec {
+        config: cfg,
+        mode: qlove_transport::WorkerMode::Operator,
+        values,
+    };
+    let run = qlove_transport::run_sessions_supervised(conn, &[spec], &policy, || {
+        Err(std::io::Error::other(
+            "a remote operator cannot be restarted",
+        ))
+    })
     .map_err(|e| e.to_string())?;
     // The operator state lives in the worker; no local footprint.
-    print_answers(&args.phis, args.window, args.period, &answers, 0)
+    let answers = &run.outcomes[0].answers;
+    print_answers(&args.phis, args.window, args.period, answers, 0)
 }
 
 /// `--connect --sessions N`: N independent whole windows through one

@@ -15,7 +15,7 @@ pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, size }
 }
 
-/// Result of [`vec`].
+/// Result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -2,9 +2,10 @@
 //!
 //! Implements the subset of the proptest API this workspace's property
 //! tests use: the [`proptest!`] macro (with `#![proptest_config(..)]`),
-//! range / tuple / [`Just`] / [`any`] strategies, `prop_map`,
-//! weighted [`prop_oneof!`], `proptest::collection::vec`, and the
-//! `prop_assert!` / `prop_assert_eq!` assertion forms returning
+//! range / tuple / [`Just`](strategy::Just) / [`any`](strategy::any)
+//! strategies, `prop_map`, weighted [`prop_oneof!`],
+//! `proptest::collection::vec`, and the `prop_assert!` /
+//! `prop_assert_eq!` assertion forms returning
 //! [`test_runner::TestCaseError`].
 //!
 //! Differences from real proptest, deliberately accepted:

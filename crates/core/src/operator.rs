@@ -206,78 +206,6 @@ impl QloveSummary {
             )
         })
     }
-
-    /// Partition the checkpoint by value at `pivot`: everything
-    /// `< pivot` in the first half, everything `>= pivot` in the
-    /// second. Counts are strictly ascending, so this is a single
-    /// partition-point split; both halves stay valid summaries and
-    /// merging them back reconstructs `self` exactly.
-    ///
-    /// This is the checkpoint half of a shard *split*: when a live
-    /// reshard divides one shard's key range in two, the parent's
-    /// boundary checkpoint is split at the new range pivot and each
-    /// successor is restored from its half.
-    pub fn split_at(&self, pivot: u64) -> (QloveSummary, QloveSummary) {
-        let cut = self.counts.partition_point(|&(value, _)| value < pivot);
-        let lo_counts = self.counts[..cut].to_vec();
-        let hi_counts = self.counts[cut..].to_vec();
-        let lo_total: u64 = lo_counts.iter().map(|&(_, f)| f).sum();
-        (
-            QloveSummary {
-                counts: lo_counts,
-                total: lo_total,
-            },
-            QloveSummary {
-                counts: hi_counts,
-                total: self.total - lo_total,
-            },
-        )
-    }
-
-    /// The multiset union of two checkpoints: a sorted merge with
-    /// frequencies added on value collisions. Commutative and
-    /// associative — the same fold order-insensitivity that makes
-    /// distributed summaries mergeable at all.
-    ///
-    /// This is the checkpoint half of a shard *merge*: when a live
-    /// reshard fuses two adjacent shards, the successor is restored
-    /// from the union of both parents' boundary checkpoints. Returns
-    /// `None` only if the combined total would overflow `u64`.
-    pub fn merged(&self, other: &QloveSummary) -> Option<QloveSummary> {
-        let total = self.total.checked_add(other.total)?;
-        let mut counts = Vec::with_capacity(self.counts.len() + other.counts.len());
-        let (mut a, mut b) = (
-            self.counts.iter().peekable(),
-            other.counts.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(va, fa)), Some(&&(vb, fb))) => {
-                    if va < vb {
-                        counts.push((va, fa));
-                        a.next();
-                    } else if vb < va {
-                        counts.push((vb, fb));
-                        b.next();
-                    } else {
-                        counts.push((va, fa + fb));
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(&&pair), None) => {
-                    counts.push(pair);
-                    a.next();
-                }
-                (None, Some(&&pair)) => {
-                    counts.push(pair);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        Some(QloveSummary { counts, total })
-    }
 }
 
 /// The shard half of distributed QLOVE: Level-1 accumulation only
@@ -522,7 +450,7 @@ impl Qlove {
     /// The speedup comes from quantizing the chunk in one pass, sorting
     /// it, and bulk-inserting `(key, run-length)` pairs — one tree
     /// descent per *unique* quantized key instead of one per element
-    /// ([`FreqTree::insert_batch`]).
+    /// ([`FreqTree::insert_batch`](qlove_rbtree::FreqTree::insert_batch)).
     pub fn push_batch(&mut self, values: &[u64]) -> Vec<QloveAnswer> {
         let mut out = Vec::new();
         self.push_batch_into(values, &mut out);
@@ -1280,57 +1208,6 @@ mod tests {
         assert!(QloveSummary::from_counts(vec![(1, 1), (1, 1)]).is_none());
         assert!(QloveSummary::from_counts(vec![(1, 0)]).is_none());
         assert!(QloveSummary::from_counts(vec![(1, u64::MAX), (2, 1)]).is_none());
-    }
-
-    #[test]
-    fn summary_split_partitions_and_reassembles_exactly() {
-        let cfg = QloveConfig::new(&[0.5, 0.999], 8_000, 1_000);
-        let data = normal_stream(59, 800);
-        let mut shard = QloveShard::new(&cfg);
-        shard.push_batch(&data);
-        let whole = shard.take_summary();
-        // Every pivot, including ones outside the value range: the
-        // halves are disjoint at the pivot, valid summaries in their
-        // own right, and their union is the original, bit for bit.
-        let mut pivots: Vec<u64> = whole.counts().iter().map(|&(v, _)| v).collect();
-        pivots.extend([0, 1, u64::MAX]);
-        for pivot in pivots {
-            let (lo, hi) = whole.split_at(pivot);
-            assert!(lo.counts().iter().all(|&(v, _)| v < pivot));
-            assert!(hi.counts().iter().all(|&(v, _)| v >= pivot));
-            assert_eq!(lo.total() + hi.total(), whole.total());
-            assert!(QloveSummary::from_counts(lo.counts().to_vec()).is_some());
-            assert!(QloveSummary::from_counts(hi.counts().to_vec()).is_some());
-            assert_eq!(lo.merged(&hi).unwrap(), whole, "pivot {pivot}");
-            // Commutative: merge order never matters.
-            assert_eq!(hi.merged(&lo).unwrap(), whole, "pivot {pivot}");
-        }
-        let (none, all) = whole.split_at(0);
-        assert!(none.is_empty());
-        assert_eq!(all, whole);
-    }
-
-    #[test]
-    fn summary_merged_is_the_multiset_union() {
-        // Overlapping value sets: collisions add frequencies.
-        let a = QloveSummary::from_counts(vec![(1, 2), (5, 3), (9, 1)]).unwrap();
-        let b = QloveSummary::from_counts(vec![(5, 4), (7, 2)]).unwrap();
-        let u = a.merged(&b).unwrap();
-        assert_eq!(u.counts(), &[(1, 2), (5, 7), (7, 2), (9, 1)]);
-        assert_eq!(u.total(), 12);
-        // Identity element and overflow rejection.
-        assert_eq!(a.merged(&QloveSummary::default()).unwrap(), a);
-        let big = QloveSummary::from_counts(vec![(1, u64::MAX)]).unwrap();
-        assert!(big.merged(&b).is_none());
-        // Restoring a shard from the union equals restoring from both
-        // parents in turn — the reshard-merge checkpoint identity.
-        let cfg = QloveConfig::new(&[0.5], 1_000, 500);
-        let mut via_union = QloveShard::new(&cfg);
-        via_union.restore(&u);
-        let mut via_parts = QloveShard::new(&cfg);
-        via_parts.restore(&a);
-        via_parts.restore(&b);
-        assert_eq!(via_union.take_summary(), via_parts.take_summary());
     }
 
     #[test]

@@ -51,8 +51,9 @@ const POW10: [u64; 20] = {
 /// * `insert`: one `ilog10`, one table-indexed division, three array
 ///   `+=` — O(1), no descent, no rebalancing, no per-key allocation.
 /// * rank queries: prefix scans over the counts, accelerated by
-///   per-[`BLOCK`] sums maintained incrementally on every mutation
-///   (empty blocks are skipped without touching their counts).
+///   per-block sums (one per `BLOCK` slots) maintained incrementally
+///   on every mutation (empty blocks are skipped without touching
+///   their counts).
 /// * `merge_from`: a vectorized slice-add of the whole count array —
 ///   the distributed merge primitive that replaces one tree descent
 ///   per unique key.

@@ -16,12 +16,12 @@
 //! * a small LINQ-flavoured [`pipeline`] layer so the paper's query
 //!   `Stream.Window(size, period).Where(pred).Aggregate(quantiles)`
 //!   (§5.1, `Qmonitor`) can be written almost verbatim in Rust;
-//! * a [`parallel`] module (crossbeam channel + workers): pipelined
-//!   execution that overlaps event generation with operator execution,
-//!   per-shard independent windows ([`parallel::run_sharded`]), and a
-//!   true distributed executor ([`parallel::run_distributed`]) that
-//!   answers one logical window from N ingestion shards by merging
-//!   sub-window summaries (§7's distributed-computing extension).
+//! * a [`parallel`] module: a distributed executor
+//!   ([`parallel::run_distributed`]) that answers one logical window
+//!   from N ingestion shards by merging sub-window summaries (§7's
+//!   distributed-computing extension), on the double-buffered merge
+//!   core ([`parallel::coordinate_pipelined`]) the socket transport
+//!   shares.
 //!
 //! Window-size/period semantics follow the paper: a query over windows of
 //! `N` elements evaluated every `K` insertions; tumbling means `N == K`.
@@ -41,8 +41,8 @@ pub mod window;
 pub use aggregate::IncrementalAggregate;
 pub use event::Event;
 pub use parallel::{
-    coordinate_pipelined, run_distributed, run_distributed_with_stats, run_pipelined, run_sharded,
-    PipelineStats, ShardAccumulator, SummaryMerge,
+    coordinate_pipelined, run_distributed, run_distributed_with_stats, PipelineStats,
+    ShardAccumulator, SummaryMerge,
 };
 pub use pipeline::Pipeline;
 pub use policy::QuantilePolicy;

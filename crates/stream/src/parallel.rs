@@ -1,144 +1,37 @@
-//! Pipelined, sharded, and distributed execution.
+//! Distributed execution: one logical window answered from many
+//! ingestion shards.
 //!
-//! The paper measures single-thread operator throughput; to do the same
-//! without the workload generator polluting the measurement, the harness
-//! runs generation on one thread and the operator on another, connected
-//! by a bounded crossbeam channel ([`run_pipelined`]). Two multi-worker
-//! executors build on that substrate, covering the two deployment shapes
-//! §7's "extends to distributed computing" remark implies:
+//! §7's "extends to distributed computing" remark implies one logical
+//! window fed by many ingestion shards. [`run_distributed`] deals values
+//! round-robin across shard accumulators; shards surrender mergeable
+//! summaries at every sub-window boundary, and a coordinator folds them
+//! into a single logical window whose answers equal a single-instance
+//! run over the undealt stream. Its merge loop is the shared
+//! double-buffered core [`coordinate_pipelined`], which also drives the
+//! multi-process socket transport (`qlove_transport`): boundary *b*
+//! merges on a dedicated thread while shards ingest toward boundary
+//! *b+1*. The live-resharding types below describe a shard set that
+//! changes mid-window, with [`run_resharded`] as their in-process
+//! reference executor.
 //!
-//! * [`run_sharded`] — **independent windows**: one operator instance
-//!   per worker, each answering its own slice of traffic (per-pipeline
-//!   monitoring). Answers are per-shard; nothing is merged.
-//! * [`run_distributed`] — **one logical window**: values are dealt
-//!   round-robin across shard accumulators, shards surrender mergeable
-//!   summaries at every sub-window boundary, and a coordinator folds
-//!   them into a single logical window whose answers equal a
-//!   single-instance run over the undealt stream. Its merge loop is the
-//!   shared double-buffered core [`coordinate_pipelined`], which also
-//!   drives the multi-process socket transport (`qlove_transport`):
-//!   boundary *b* merges on a dedicated thread while shards ingest
-//!   toward boundary *b+1*.
-//!
-//! Both executors are agnostic to how an operator stores its state:
+//! The executor is agnostic to how an operator stores its state:
 //! QLOVE's Level-1 backend (red-black tree, or the dense direct-indexed
 //! store `qlove_freqstore` enables for quantized domains) rides along
-//! inside the operator the `make_op`/`make_shard` closures construct,
-//! so the same executor serves either backend — only the cost of
+//! inside the operator the `make_shard` closure constructs, so the same
+//! executor serves either backend — only the cost of
 //! [`SummaryMerge::merge_summary`] changes (per-key tree descents vs
 //! array adds). Summaries themselves are backend-neutral sorted
 //! `(value, frequency)` multisets, so shards and the coordinator may
 //! even run different backends.
 
-use crate::aggregate::IncrementalAggregate;
-use crate::window::{SlidingWindow, WindowSpec};
-use crossbeam::channel;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::mpsc::sync_channel;
 use std::thread;
 use std::time::Instant;
 
-/// Batch size used on the channel: amortizes per-message synchronization,
-/// keeping the channel out of the measured operator cost. The consumer
-/// feeds each batch straight into the executor's batched ingestion path
-/// ([`SlidingWindow::push_batch`]), so the batching survives end to end
-/// instead of being undone element by element at the consumer.
+/// Dealing batch size: the most values one shard ingests (or one
+/// `EventBatch` frame carries) at a time, amortizing per-message
+/// synchronization while riding the batched ingestion path.
 pub const BATCH: usize = 4096;
-
-/// Run `op` over `values` on a dedicated consumer thread while the
-/// producer thread generates input, returning all emitted window results.
-///
-/// The generic bounds require `Send` because values cross threads; all
-/// telemetry payloads used in this workspace are `u64`/`f64`.
-pub fn run_pipelined<A, I>(op: A, spec: WindowSpec, values: I) -> Vec<A::Output>
-where
-    A: IncrementalAggregate + Send,
-    A::Input: Clone + Send,
-    A::Output: Send,
-    A::State: Send,
-    I: IntoIterator<Item = A::Input> + Send,
-{
-    let (tx, rx) = channel::bounded::<Vec<A::Input>>(8);
-    thread::scope(|scope| {
-        scope.spawn(move || {
-            let mut batch = Vec::with_capacity(BATCH);
-            for v in values {
-                batch.push(v);
-                if batch.len() == BATCH
-                    && tx
-                        .send(std::mem::replace(&mut batch, Vec::with_capacity(BATCH)))
-                        .is_err()
-                {
-                    return;
-                }
-            }
-            if !batch.is_empty() {
-                let _ = tx.send(batch);
-            }
-        });
-        let mut window = SlidingWindow::new(op, spec);
-        let mut out = Vec::new();
-        for batch in rx.iter() {
-            window.push_batch(&batch, &mut out);
-        }
-        out
-    })
-}
-
-/// Shard `values` round-robin across `shards` worker threads, each
-/// running an **independent** sliding-window instance of the operator
-/// built by `make_op`; returns each shard's emitted results.
-///
-/// This models per-shard quantile monitoring: each ingestion pipeline
-/// watches its own slice of traffic and answers for that slice only.
-/// For one logical window answered collectively from every shard's
-/// data — the distributed merge of sub-window summaries — use
-/// [`run_distributed`].
-pub fn run_sharded<A, F>(
-    make_op: F,
-    spec: WindowSpec,
-    values: &[A::Input],
-    shards: usize,
-) -> Vec<Vec<A::Output>>
-where
-    A: IncrementalAggregate + Send,
-    A::Input: Clone + Send + Sync,
-    A::Output: Send,
-    F: Fn() -> A + Sync,
-{
-    assert!(shards > 0, "need at least one shard");
-    let results: Vec<Mutex<Vec<A::Output>>> = (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-    let results = Arc::new(results);
-    thread::scope(|scope| {
-        for shard in 0..shards {
-            let results = Arc::clone(&results);
-            let make_op = &make_op;
-            scope.spawn(move || {
-                let mut window = SlidingWindow::new(make_op(), spec);
-                let mut local = Vec::new();
-                // Re-batch the strided slice so each worker also rides
-                // the batched ingestion path.
-                let mut batch: Vec<A::Input> = Vec::with_capacity(BATCH);
-                for v in values.iter().skip(shard).step_by(shards) {
-                    batch.push(v.clone());
-                    if batch.len() == BATCH {
-                        window.push_batch(&batch, &mut local);
-                        batch.clear();
-                    }
-                }
-                if !batch.is_empty() {
-                    window.push_batch(&batch, &mut local);
-                }
-                *results[shard].lock() = local;
-            });
-        }
-    });
-    Arc::try_unwrap(results)
-        .unwrap_or_else(|_| panic!("worker threads joined; sole owner"))
-        .into_iter()
-        .map(Mutex::into_inner)
-        .collect()
-}
 
 /// The shard half of a distributed one-logical-window execution: a
 /// boundary-free accumulator over one shard's slice of the stream that
@@ -260,8 +153,8 @@ where
         // Group channel capacity 1 + two recycled buffers = double
         // buffering: one group being merged, one in flight or being
         // collected.
-        let (group_tx, group_rx) = channel::bounded::<Vec<C::Summary>>(1);
-        let (recycle_tx, recycle_rx) = channel::bounded::<Vec<C::Summary>>(2);
+        let (group_tx, group_rx) = sync_channel::<Vec<C::Summary>>(1);
+        let (recycle_tx, recycle_rx) = sync_channel::<Vec<C::Summary>>(2);
         for _ in 0..2 {
             assert!(
                 recycle_tx.send(Vec::new()).is_ok(),
@@ -407,7 +300,7 @@ where
     thread::scope(|scope| {
         let mut receivers = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = channel::bounded::<S::Summary>(4);
+            let (tx, rx) = sync_channel::<S::Summary>(4);
             receivers.push(rx);
             let make_shard = &make_shard;
             scope.spawn(move || {
@@ -454,7 +347,7 @@ where
 // ---------------------------------------------------------------------------
 // Live resharding: elastic shard split/merge mid-window.
 //
-// The dealt-stream executors above freeze the shard set at window start.
+// The dealt-stream executor above freezes the shard set at window start.
 // The types here describe a shard set that *changes while the window
 // runs*: shards own half-open value ranges (a `RangeTable`), a
 // `ReshardPlan` splits one range in two or merges two adjacent ranges,
@@ -903,84 +796,6 @@ pub fn plan_reshards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{CountOp, ExactQuantileOp};
-
-    #[test]
-    fn pipelined_matches_sequential() {
-        let data: Vec<u64> = (0..5000u64).map(|i| (i * 7919) % 1000).collect();
-        let spec = WindowSpec::sliding(1000, 500);
-        let par = run_pipelined(ExactQuantileOp::new(&[0.5, 0.99]), spec, data.clone());
-        let mut seq_window = SlidingWindow::new(ExactQuantileOp::new(&[0.5, 0.99]), spec);
-        let seq: Vec<_> = data.iter().filter_map(|&v| seq_window.push(v)).collect();
-        assert_eq!(par, seq);
-        assert_eq!(par.len(), 9);
-    }
-
-    #[test]
-    fn pipelined_batch_consumption_matches_sequential_per_element() {
-        // The consumer feeds whole channel batches through push_batch;
-        // results must equal the sequential per-element executor even
-        // when the stream length is not a multiple of the channel batch
-        // (forcing a short trailing batch) and the window boundary falls
-        // mid-batch.
-        let n = BATCH * 3 + 1234;
-        let data: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761) % 9973).collect();
-        let spec = WindowSpec::sliding(5000, 1250);
-        let par = run_pipelined(ExactQuantileOp::new(&[0.5, 0.999]), spec, data.clone());
-        let mut seq = SlidingWindow::new(ExactQuantileOp::new(&[0.5, 0.999]), spec);
-        let want: Vec<_> = data.iter().filter_map(|&v| seq.push(v)).collect();
-        assert_eq!(par, want);
-        assert!(!par.is_empty());
-    }
-
-    #[test]
-    fn sharded_batching_matches_unbatched_stride() {
-        // Each worker re-batches its strided slice; results must equal a
-        // plain per-element walk of the same stride.
-        let data: Vec<u64> = (0..3 * BATCH as u64 + 777)
-            .map(|i| (i * 31) % 1009)
-            .collect();
-        let spec = WindowSpec::sliding(1000, 250);
-        let shards = 3;
-        let out = run_sharded(|| ExactQuantileOp::new(&[0.5]), spec, &data, shards);
-        for (shard, results) in out.iter().enumerate() {
-            let mut w = SlidingWindow::new(ExactQuantileOp::new(&[0.5]), spec);
-            let want: Vec<_> = data
-                .iter()
-                .skip(shard)
-                .step_by(shards)
-                .filter_map(|&v| w.push(v))
-                .collect();
-            assert_eq!(results, &want, "shard {shard}");
-        }
-    }
-
-    #[test]
-    fn pipelined_handles_short_streams() {
-        let out = run_pipelined(CountOp, WindowSpec::tumbling(10), (0..5).map(f64::from));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn sharded_each_shard_sees_its_slice() {
-        let data: Vec<u64> = (0..4000).collect();
-        let spec = WindowSpec::tumbling(500);
-        let out = run_sharded(|| ExactQuantileOp::new(&[1.0]), spec, &data, 4);
-        assert_eq!(out.len(), 4);
-        for (shard, results) in out.iter().enumerate() {
-            // Each shard got 1000 values → two tumbling windows of 500.
-            assert_eq!(results.len(), 2, "shard {shard}");
-            // Max of shard's first window: values shard + 4k for k < 500.
-            assert_eq!(results[0][0], shard as u64 + 4 * 499);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn sharded_rejects_zero_shards() {
-        let data: Vec<f64> = vec![];
-        run_sharded(|| CountOp, WindowSpec::tumbling(1), &data, 0);
-    }
 
     // ---- run_distributed over a toy mergeable operator -------------------
 

@@ -36,12 +36,7 @@
 //! the emitted results equal the per-element path answer-for-answer —
 //! provided the operator's accumulate/deaccumulate are
 //! order-insensitive between boundaries (true of every multiset- or
-//! sum-like operator here). The pipelined executor
-//! ([`crate::parallel::run_pipelined`]) ships 4096-element batches over
-//! its channel and feeds them straight into that path, so batching
-//! survives end to end instead of being undone at the consumer; the
-//! sharded executor ([`crate::parallel::run_sharded`]) re-batches each
-//! worker's stride the same way.
+//! sum-like operator here).
 
 use crate::aggregate::IncrementalAggregate;
 use crate::event::Event;

@@ -13,7 +13,11 @@
 //! the socket. A *hung* worker (e.g. `SIGSTOP`) is caught by the
 //! heartbeat deadline: when a read times out the collector writes a
 //! [`Frame::Heartbeat`] probe; a live worker echoes it, a frozen one
-//! stays silent through the second timeout and is declared stalled. A
+//! stays silent through the second timeout and is declared stalled.
+//! When a dealer holds the link's writer, perhaps blocked on a worker
+//! that stopped reading, the probe writes nothing and marks the link's
+//! written-frame count instead: a count that has not moved by the
+//! second timeout is a stall, one that has moved re-arms the probe. A
 //! spurious stall verdict is safe: the old socket is shut down before
 //! the replacement is handshaked, and replay recomputes identical
 //! summaries.
@@ -25,7 +29,7 @@
 //! mid-run is the same reinstall without the failure records.
 
 use crate::coordinator::{is_timeout, RecoveryPolicy, ShardMetrics, WorkerStats};
-use crate::link::Link;
+use crate::link::{Link, Probe};
 use crate::net::Conn;
 use crate::proto::{bad, Frame, FrameReader, FrameWriter, Role, PROTOCOL_VERSION};
 use qlove_core::QloveSummary;
@@ -34,11 +38,11 @@ use std::io::{self, BufReader};
 use std::thread;
 use std::time::Duration;
 
-pub(crate) type Reader = FrameReader<BufReader<Conn>>;
+type Reader = FrameReader<BufReader<Conn>>;
 
 /// Connection-level handshake: hello exchange only. Sessions are opened
 /// separately (a connection can hold many).
-pub(crate) fn hello(conn: Conn) -> io::Result<(Reader, FrameWriter<Conn>)> {
+fn hello(conn: Conn) -> io::Result<(Reader, FrameWriter<Conn>)> {
     let read_half = conn.try_clone()?;
     let mut reader = FrameReader::new(BufReader::new(read_half));
     let mut writer = FrameWriter::new(conn);
@@ -72,6 +76,11 @@ enum Fault {
 
 fn crash(e: io::Error) -> Fault {
     Fault::Worker((false, 0, e))
+}
+
+fn stalled(c: usize) -> io::Error {
+    let msg = format!("connection {c}: worker silent through two read deadlines");
+    io::Error::new(io::ErrorKind::TimedOut, msg)
 }
 
 /// The collector's state for one run: per connection, the read half and
@@ -184,8 +193,10 @@ impl<'a, F: FnMut(usize) -> io::Result<Conn>> Collector<'a, F> {
     /// reports and probing through read deadlines.
     fn read_with_probe(&mut self, c: usize) -> Result<Frame, Fault> {
         // Set once a probe is out: silence through the next deadline
-        // then means the worker is stalled.
-        let mut probed: Option<Stopwatch> = None;
+        // then means the worker is stalled — unless the probe found a
+        // dealer holding the writer and the link has written frames
+        // since, which means the worker is reading; then probe again.
+        let mut probed: Option<(Stopwatch, Probe)> = None;
         loop {
             let Some(reader) = self.readers[c].as_mut() else {
                 return Err(crash(io::Error::other("connection is down")));
@@ -214,19 +225,22 @@ impl<'a, F: FnMut(usize) -> io::Result<Conn>> Collector<'a, F> {
                     probed = None;
                 }
                 Ok(frame) => return Ok(frame),
-                Err(e) if is_timeout(&e) => match probed {
-                    Some(since) => return Err(Fault::Worker((true, since.elapsed_us(), e))),
-                    None => {
-                        let since = Stopwatch::start();
-                        let probe = Frame::Heartbeat { session: c as u64 };
-                        if self.links[c].send(probe).is_err() {
-                            return Err(crash(e));
+                Err(e) if is_timeout(&e) => {
+                    let link = &self.links[c];
+                    if let Some((since, probe)) = probed {
+                        let moved = matches!(probe, Probe::Busy(mark) if link.written() != mark);
+                        if !moved {
+                            return Err(Fault::Worker((true, since.elapsed_us(), stalled(c))));
                         }
-                        probed = Some(since);
                     }
-                },
+                    let since = Stopwatch::start();
+                    match link.probe(Frame::Heartbeat { session: c as u64 }) {
+                        Ok(probe) => probed = Some((since, probe)),
+                        Err(_) => return Err(crash(e)),
+                    }
+                }
                 Err(e) => {
-                    let detect_us = probed.map_or(0, |s| s.elapsed_us());
+                    let detect_us = probed.map_or(0, |(since, _)| since.elapsed_us());
                     return Err(Fault::Worker((false, detect_us, e)));
                 }
             }

@@ -32,7 +32,7 @@
 //! session's last acknowledged boundary and fed the unacknowledged ring
 //! tail, so merged answers stay **bit-identical** to an undisturbed run.
 
-use crate::collector::{hello, Collector};
+use crate::collector::Collector;
 use crate::link::Link;
 use crate::net::Conn;
 use crate::proto::{bad, Frame, WorkerMode};
@@ -44,7 +44,7 @@ use qlove_telemetry::metrics::labeled;
 use qlove_telemetry::{Counter, EventJournal, Gauge};
 use std::fmt;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -157,12 +157,12 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// A coordinator-side pipeline thread (dealer/feeder) died by panic;
-/// carried inside `io::Error::other` so callers get the payload instead
-/// of a coordinator panic.
+/// The coordinator's dealer thread died by panic; carried inside
+/// `io::Error::other` so callers get the payload instead of a
+/// coordinator panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportError {
-    /// Which thread panicked (`"dealer"` or `"feeder"`).
+    /// Which thread panicked (`"dealer"`).
     pub thread: &'static str,
     /// The stringified panic payload.
     pub panic: String,
@@ -552,116 +552,6 @@ impl Batcher<'_> {
     }
 }
 
-/// Stream `values` to a single remote **full operator** and collect its
-/// evaluations — the offload deployment where the ingest process keeps
-/// no operator state at all.
-///
-/// Answers come back as [`Frame::Answer`] frames and are returned in
-/// evaluation order; they are bit-identical to running the operator
-/// locally (locked by the transport differential test). The write side
-/// runs on its own thread so a slow operator can never deadlock the
-/// answer stream against the event stream.
-pub fn run_remote_operator(
-    config: &QloveConfig,
-    conn: Conn,
-    values: &[u64],
-) -> io::Result<Vec<QloveAnswer>> {
-    run_remote_operator_with_policy(config, conn, values, &RecoveryPolicy::disabled())
-}
-
-/// [`run_remote_operator`] with hang *detection* (not recovery).
-///
-/// A remote operator holds the full window state, which the ingest side
-/// deliberately does not mirror — so a dead operator cannot be rebuilt
-/// by replay and recovery is impossible by design. What `policy` adds
-/// here is detection: with a heartbeat deadline set, a crashed or
-/// frozen operator turns into a prompt `TimedOut`/`BrokenPipe` error
-/// instead of blocking the caller forever. `max_restarts`, `backoff`,
-/// and the respawn machinery do not apply.
-pub fn run_remote_operator_with_policy(
-    config: &QloveConfig,
-    conn: Conn,
-    values: &[u64],
-    policy: &RecoveryPolicy,
-) -> io::Result<Vec<QloveAnswer>> {
-    policy.arm(&conn)?;
-    let breaker = conn.try_clone()?;
-    // The remote operator is the connection's only session: id 0.
-    const SESSION: u64 = 0;
-    let (mut reader, mut writer) = hello(conn)?;
-    writer.write_frame(&Frame::OpenSession {
-        session: SESSION,
-        config: config.clone(),
-        mode: WorkerMode::Operator,
-    })?;
-    // The feeder and the collector's heartbeat probes share the write
-    // half; the mutex is uncontended except while a probe is in flight.
-    let writer = Mutex::new(writer);
-    thread::scope(|scope| -> io::Result<Vec<QloveAnswer>> {
-        let feeder = scope.spawn(|| -> io::Result<()> {
-            for chunk in values.chunks(BATCH) {
-                let mut writer = writer.lock().expect("writer lock poisoned");
-                writer.write_frame(&Frame::EventBatch {
-                    session: SESSION,
-                    values: chunk.to_vec(),
-                })?;
-            }
-            let mut writer = writer.lock().expect("writer lock poisoned");
-            writer.write_frame(&Frame::Shutdown)?;
-            writer.flush()?;
-            Ok(())
-        });
-        let mut answers = Vec::new();
-        let mut probed = false;
-        let collected = loop {
-            match reader.read_frame() {
-                Ok(Frame::Answer {
-                    session: SESSION,
-                    boundary,
-                    answer,
-                }) => {
-                    probed = false;
-                    if boundary != answers.len() as u64 {
-                        break Err(bad(format!(
-                            "answer {boundary} out of order (expected {})",
-                            answers.len()
-                        )));
-                    }
-                    answers.push(answer);
-                }
-                Ok(Frame::Heartbeat { .. }) => probed = false,
-                Ok(Frame::Shutdown) => break Ok(()),
-                Ok(other) => break Err(bad(format!("unexpected frame {other:?}"))),
-                Err(e) if is_timeout(&e) && !probed => {
-                    let mut writer = writer.lock().expect("writer lock poisoned");
-                    let sent = writer
-                        .write_frame(&Frame::Heartbeat { session: SESSION })
-                        .and_then(|()| writer.flush());
-                    drop(writer);
-                    if let Err(probe_err) = sent {
-                        break Err(probe_err);
-                    }
-                    probed = true;
-                }
-                Err(e) if is_timeout(&e) => {
-                    break Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "remote operator stalled: no answer or heartbeat echo through two read deadlines",
-                    ));
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        if collected.is_err() {
-            let _ = breaker.shutdown();
-        }
-        let fed = join_io(feeder, "feeder");
-        collected?;
-        fed?;
-        Ok(answers)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,18 +575,18 @@ mod tests {
 
         let err = thread::scope(|scope| {
             let h = scope.spawn(|| -> io::Result<()> { panic!("static failure") });
-            join_io(h, "feeder").unwrap_err()
+            join_io(h, "dealer").unwrap_err()
         });
         let te = err
             .get_ref()
             .and_then(|e| e.downcast_ref::<TransportError>())
             .expect("structured TransportError");
-        assert_eq!(te.thread, "feeder");
+        assert_eq!(te.thread, "dealer");
         assert_eq!(te.panic, "static failure");
 
         let err = thread::scope(|scope| {
             let h = scope.spawn(|| -> io::Result<()> { std::panic::panic_any(42u32) });
-            join_io(h, "merger").unwrap_err()
+            join_io(h, "dealer").unwrap_err()
         });
         let te = err
             .get_ref()

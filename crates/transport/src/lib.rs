@@ -58,14 +58,15 @@
 //!   telemetry scrape (`StatsRequest`/`StatsReport`). Strict decoding:
 //!   malformed input errors, never panics.
 //! * [`worker`] — the worker runtime: a **multi-session server**
-//!   holding a slab of independent per-session states — distinct
-//!   `QloveConfig`s, backends, and modes in one process — with
-//!   round-robin fairness across sessions with pending input and a
-//!   per-session backpressure bound so one hot window cannot starve
-//!   the rest.
+//!   holding independent per-session states — distinct `QloveConfig`s,
+//!   backends, and modes in one process — and handling every frame in
+//!   arrival order, each `EventBatch` ingested on receipt. Fairness
+//!   between sessions is the dealer's round-robin plus each session's
+//!   ring budget.
 //! * [`coordinator`], [`reshard`], [`sessions`] — the entry points
-//!   above, plus [`run_remote_operator`] (stream to one remote full
-//!   operator; detection only, since its state cannot be replayed).
+//!   above. A remote full operator is one operator-mode
+//!   [`SessionSpec`] run through [`run_sessions`] (detection only,
+//!   since its state cannot be replayed).
 //! * [`chaos`] — the reusable seed-deterministic fault-injection
 //!   harness the recovery tests share: a byte-level proxy that can
 //!   cut, delay, or duplicate coordinator→worker frames at exact
@@ -96,8 +97,7 @@ pub mod worker;
 
 pub use chaos::{interpose, ChaosProxy, CutAfter, Fate, FaultInjector, NoFaults, SeededRng};
 pub use coordinator::{
-    run_over_sockets, run_remote_operator, run_remote_operator_with_policy, run_supervised,
-    DistributedRun, RecoveryPolicy, TransportError, WorkerStats,
+    run_over_sockets, run_supervised, DistributedRun, RecoveryPolicy, TransportError, WorkerStats,
 };
 pub use link::MAX_RING_BOUNDARIES;
 pub use net::{Conn, Endpoint, Listener};
@@ -106,9 +106,7 @@ pub use reshard::{run_resharded, ReshardRun};
 pub use sessions::{
     run_sessions, run_sessions_supervised, SessionOutcome, SessionSpec, SessionsRun,
 };
-pub use worker::{
-    serve_stream, ServeReport, SessionReport, WorkerServer, MAX_PENDING_BATCHES_PER_SESSION,
-};
+pub use worker::{serve_stream, ServeReport, SessionReport, WorkerServer};
 
 #[cfg(test)]
 mod tests {
@@ -178,6 +176,17 @@ mod tests {
             assert_eq!(run.stats.boundaries, data.len().div_ceil(cfg.period));
             // Trailing partial sub-window mirrored, not dropped.
             assert_eq!(coordinator.pending(), data.len() % cfg.period);
+            // The scrape taken before shutdown: every dealt value and
+            // every boundary, on every shard.
+            let events: u64 = run.worker_stats.iter().map(|s| s.events).sum();
+            assert_eq!(events, data.len() as u64, "{shards} shards");
+            for stats in &run.worker_stats {
+                let boundaries = run.stats.boundaries as u64;
+                assert_eq!(
+                    (stats.boundaries, stats.responses),
+                    (boundaries, boundaries)
+                );
+            }
             for join in joins {
                 let report = join.join().unwrap().unwrap();
                 assert_eq!(report.sessions_served(), 1);
@@ -192,10 +201,15 @@ mod tests {
         let cfg = config();
         let data: Vec<u64> = (0..9_111u64).map(|i| (i * 7919) % 4_999).collect();
         let want = sequential(&cfg, &data);
-        let (mut conns, joins) = tcp_workers(1).unwrap();
-        let answers = run_remote_operator(&cfg, conns.pop().unwrap(), &data).unwrap();
-        assert_eq!(answers, want);
-        let report = joins.into_iter().next().unwrap().join().unwrap().unwrap();
+        let (conn, join) = tcp_worker().unwrap();
+        let spec = SessionSpec {
+            config: cfg,
+            mode: WorkerMode::Operator,
+            values: data.clone(),
+        };
+        let outcomes = run_sessions(conn, &[spec]).unwrap();
+        assert_eq!(outcomes[0].answers, want);
+        let report = join.join().unwrap().unwrap();
         assert_eq!(report.sessions_served(), 1);
         assert_eq!(report.sessions[0].mode, WorkerMode::Operator);
         assert_eq!(report.responses(), want.len() as u64);
@@ -343,8 +357,11 @@ mod tests {
         })
         .unwrap();
         assert!(run.journal.is_empty());
-        for (spec, outcome) in specs.iter().zip(&run.outcomes) {
+        for ((spec, outcome), stats) in specs.iter().zip(&run.outcomes).zip(&run.worker_stats) {
             assert_eq!(outcome.answers, sequential(&spec.config, &spec.values));
+            assert_eq!(stats.events, spec.values.len() as u64);
+            let boundaries = spec.values.len().div_ceil(spec.config.period) as u64;
+            assert_eq!(stats.boundaries, boundaries);
         }
         join.join().unwrap().unwrap();
     }
@@ -366,11 +383,9 @@ mod tests {
         let last = (specs.len() - 1) as u64;
         let (ours, theirs) = UnixStream::pair()?;
         let dying = std::thread::spawn(move || -> io::Result<()> {
-            // A protocol-level proxy around a real slab: forward frames
-            // into a real `serve_stream` would hide the cut, so instead
-            // run the real worker loop inline and sever after the
-            // trigger frame. Simplest faithful version: speak the
-            // protocol directly with real QloveShards.
+            // Forwarding frames into a real `serve_stream` would hide
+            // the cut, so instead speak the protocol directly with real
+            // QloveShards and sever after the trigger frame.
             use std::collections::HashMap;
             let conn = Conn::Unix(theirs);
             let read_half = conn.try_clone()?;
@@ -832,6 +847,78 @@ mod tests {
             }]
         ));
         frozen.join().unwrap().unwrap();
+        for join in joins {
+            join.join().unwrap()?;
+        }
+        Ok(())
+    }
+
+    /// A scripted worker that handshakes and then stops reading: the
+    /// dealer fills the socket buffer and blocks in a write while it
+    /// holds the link's writer. The heartbeat probe must not wait
+    /// behind that write. The stall is declared within a few
+    /// heartbeats, long before the write deadline would have turned it
+    /// into a crash, and a replacement finishes the run.
+    #[cfg(unix)]
+    #[test]
+    fn deaf_worker_is_declared_stalled_before_the_write_deadline() -> io::Result<()> {
+        let (ours, theirs) = std::os::unix::net::UnixStream::pair()?;
+        let (hang_up, hung_up) = std::sync::mpsc::channel::<()>();
+        let deaf = std::thread::spawn(move || -> io::Result<()> {
+            let conn = Conn::Unix(theirs);
+            let mut reader = FrameReader::new(std::io::BufReader::new(conn.try_clone()?));
+            let mut writer = FrameWriter::new(conn);
+            reader.read_frame()?; // coordinator hello
+            writer.write_frame(&Frame::Hello {
+                version: PROTOCOL_VERSION,
+                role: Role::Worker,
+            })?;
+            writer.flush()?;
+            // Read nothing more; keep the socket open until the test ends.
+            let _ = hung_up.recv();
+            Ok(())
+        });
+
+        // Six sub-windows, fewer than the ring budget: only the socket
+        // buffer can block the dealer.
+        let cfg = QloveConfig::new(&[0.5, 0.99], 100_000, 50_000);
+        let data: Vec<u64> = (0..300_000u64)
+            .map(|i| (i * 2654435761) % 1_000_000)
+            .collect();
+        let policy = RecoveryPolicy {
+            max_restarts: 2,
+            backoff: Duration::ZERO,
+            deadline: Duration::from_secs(10),
+            heartbeat: Some(Duration::from_millis(100)),
+            jitter: 0,
+        };
+        let mut coordinator = Qlove::new(cfg.clone());
+        let mut joins = Vec::new();
+        let started = std::time::Instant::now();
+        let run = run_supervised(
+            &cfg,
+            &mut coordinator,
+            vec![Conn::Unix(ours)],
+            &data,
+            &policy,
+            thread_respawn(&mut joins),
+        )?;
+        let took = started.elapsed();
+        hang_up.send(()).unwrap();
+        let first_failure = run.journal.events().into_iter().find_map(|e| match e.kind {
+            EventKind::Failure {
+                stall, detect_us, ..
+            } => Some((stall, detect_us)),
+            _ => None,
+        });
+        let Some((stall, detect_us)) = first_failure else {
+            panic!("no failure recorded");
+        };
+        assert!(stall, "a worker that stops reading is a stall, not a crash");
+        assert!(detect_us > 0, "detected by the probe");
+        assert!(took < policy.deadline / 2, "run took {took:?}");
+        assert_eq!(run.answers, sequential(&cfg, &data));
+        deaf.join().unwrap()?;
         for join in joins {
             join.join().unwrap()?;
         }

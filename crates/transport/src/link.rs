@@ -5,7 +5,7 @@
 //! A [`Link`] owns no socket and starts no thread. It writes frames into
 //! any [`Write`] sink and is driven by three parties: the dealer
 //! ([`Link::deal`], [`Link::open`], [`Link::shutdown`]), the collector
-//! ([`Link::ack`], [`Link::close_acked`], [`Link::send`]), and recovery
+//! ([`Link::ack`], [`Link::close_acked`], [`Link::probe`]), and recovery
 //! ([`Link::reinstall`]). Unit tests drive it with byte buffers.
 //!
 //! ## Two locks
@@ -17,6 +17,12 @@
 //! acknowledging a summary never waits on a dealer blocked in a socket
 //! write — the wait that let dealer, worker and collector deadlock once
 //! the socket buffers filled. The lock order is writer, then state.
+//!
+//! The collector's heartbeat probe never waits on the writer either: it
+//! only tries the lock. When a dealer holds it — perhaps blocked on a
+//! worker that stopped reading — the probe writes nothing and returns
+//! how many frames the link has written so far. If that count has not
+//! moved by the collector's next read deadline, the worker is stalled.
 //!
 //! ## Replay
 //!
@@ -33,7 +39,8 @@ use crate::proto::{bad, Frame, FrameWriter, WorkerMode};
 use qlove_core::{QloveConfig, QloveSummary};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// How many dealt-but-unacknowledged sub-windows a session's replay
 /// ring holds before dealing to that session waits for the collector.
@@ -100,12 +107,24 @@ struct State {
     failed: bool,
 }
 
+/// What a heartbeat probe did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The heartbeat went out; the worker's echo answers it.
+    Sent,
+    /// A dealer held the writer, so nothing was written. The payload is
+    /// [`Link::written`] at the time: the worker is reading if it moves.
+    Busy(u64),
+}
+
 /// One connection's sessions, rings and write half.
 pub(crate) struct Link<W> {
     /// Retain dealt frames for replay (the policy can restart workers).
     retain: bool,
     /// The write half; `None` while the connection is down or not up yet.
     writer: Mutex<Option<FrameWriter<W>>>,
+    /// Frames written through `writer` so far.
+    written: AtomicU64,
     state: Mutex<State>,
     /// Signalled whenever ring room may have appeared (or on failure).
     room: Condvar,
@@ -123,26 +142,6 @@ fn unknown(session: u64) -> io::Error {
     bad(format!("frame for unknown session {session}"))
 }
 
-/// Write `frame` through `slot`, parking the link (dropping the write
-/// half) when the write fails: the collector notices the dead peer.
-fn write_through<W: Write>(
-    slot: &mut Option<FrameWriter<W>>,
-    frames: &[Frame],
-    flush: bool,
-) -> io::Result<()> {
-    let Some(writer) = slot.as_mut() else {
-        return Err(io::Error::new(io::ErrorKind::BrokenPipe, "link is down"));
-    };
-    let sent = frames
-        .iter()
-        .try_for_each(|f| writer.write_frame(f))
-        .and_then(|()| if flush { writer.flush() } else { Ok(()) });
-    if sent.is_err() {
-        *slot = None;
-    }
-    sent
-}
-
 impl<W: Write> Link<W> {
     /// An empty, unconnected link. With `retain`, dealt frames are kept
     /// for replay; without, only frames dealt while the link is down are.
@@ -150,9 +149,39 @@ impl<W: Write> Link<W> {
         Self {
             retain,
             writer: Mutex::new(None),
+            written: AtomicU64::new(0),
             state: Mutex::new(State::default()),
             room: Condvar::new(),
         }
+    }
+
+    /// Write `frames` through `slot` and count them, parking the link
+    /// (dropping the write half) when the write fails: the collector
+    /// notices the dead peer.
+    fn write_through(
+        &self,
+        slot: &mut Option<FrameWriter<W>>,
+        frames: &[Frame],
+        flush: bool,
+    ) -> io::Result<()> {
+        let Some(writer) = slot.as_mut() else {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "link is down"));
+        };
+        let sent = frames.iter().try_for_each(|f| {
+            writer.write_frame(f)?;
+            self.written.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        });
+        let sent = sent.and_then(|()| if flush { writer.flush() } else { Ok(()) });
+        if sent.is_err() {
+            *slot = None;
+        }
+        sent
+    }
+
+    /// Frames written through the write half so far.
+    pub(crate) fn written(&self) -> u64 {
+        self.written.load(Ordering::Relaxed)
     }
 
     /// Host session `id`, resuming at boundary `at` under reshard epoch
@@ -186,7 +215,7 @@ impl<W: Write> Link<W> {
             st.sessions.insert(id, session);
         }
         if writer.is_some() {
-            let _ = write_through(&mut writer, &frames, false);
+            let _ = self.write_through(&mut writer, &frames, false);
         }
         Ok(())
     }
@@ -220,11 +249,12 @@ impl<W: Write> Link<W> {
             }
         }
         if let (Some(w), Some(encoded)) = (writer.as_mut(), encoded) {
-            let sent =
-                encoded
-                    .and_then(|()| w.send())
-                    .and_then(|()| if flush { w.flush() } else { Ok(()) });
-            if sent.is_err() {
+            let sent = encoded.and_then(|()| w.send());
+            if sent.is_ok() {
+                self.written.fetch_add(1, Ordering::Relaxed);
+            }
+            let flushed = sent.and_then(|()| if flush { w.flush() } else { Ok(()) });
+            if flushed.is_err() {
                 *writer = None;
             }
         }
@@ -242,7 +272,7 @@ impl<W: Write> Link<W> {
             st.shutdown = true;
         }
         if writer.is_some() {
-            let _ = write_through(&mut writer, &[Frame::Shutdown], true);
+            let _ = self.write_through(&mut writer, &[Frame::Shutdown], true);
         }
         Ok(())
     }
@@ -324,10 +354,19 @@ impl<W: Write> Link<W> {
         Ok(())
     }
 
-    /// Write a frame that is not dealt — a heartbeat probe — so it
-    /// never enters a ring. Fails when the link is down.
-    pub(crate) fn send(&self, frame: Frame) -> io::Result<()> {
-        write_through(&mut lock(&self.writer), &[frame], true)
+    /// Write a heartbeat probe, which is not dealt and never enters a
+    /// ring. When a dealer holds the writer, write nothing and return
+    /// [`Probe::Busy`] with the current [`Link::written`] count instead
+    /// of waiting behind a write that may be blocked. Fails when the
+    /// link is down.
+    pub(crate) fn probe(&self, frame: Frame) -> io::Result<Probe> {
+        let mut slot = match self.writer.try_lock() {
+            Ok(slot) => slot,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return Ok(Probe::Busy(self.written())),
+        };
+        self.write_through(&mut slot, &[frame], true)
+            .map(|()| Probe::Sent)
     }
 
     /// Install a fresh write half and replay onto it: every session not
@@ -621,5 +660,47 @@ mod tests {
             .unwrap();
         dealer.join().unwrap().unwrap();
         assert!(link.has_room(0));
+    }
+
+    #[test]
+    fn probe_returns_while_a_dealer_is_blocked_in_a_write() {
+        let armed = Arc::new(AtomicBool::new(false));
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let gate = Gate {
+            armed: Arc::clone(&armed),
+            entered: entered_tx,
+            release: release_rx,
+        };
+        let link = Arc::new(link_to(&[0], gate));
+        armed.store(true, Ordering::SeqCst);
+        // The dealer blocks writing a batch while holding the writer
+        // lock, as on a worker that stopped reading.
+        let dealer = {
+            let link = Arc::clone(&link);
+            thread::spawn(move || link.deal(0, batch(0, 1)))
+        };
+        entered.recv_timeout(Duration::from_secs(10)).unwrap();
+        let (tx, rx) = mpsc::channel();
+        {
+            let link = Arc::clone(&link);
+            thread::spawn(move || {
+                tx.send(link.probe(Frame::Heartbeat { session: 0 }))
+                    .unwrap()
+            });
+        }
+        let probed = rx.recv_timeout(Duration::from_secs(10));
+        armed.store(false, Ordering::SeqCst);
+        release.send(()).unwrap();
+        let probed = probed
+            .expect("probe must not wait on the writer lock")
+            .unwrap();
+        assert_eq!(probed, Probe::Busy(0), "nothing written behind the dealer");
+        dealer.join().unwrap().unwrap();
+        // The dealer's write went through, so the mark has moved, and a
+        // probe against a free writer goes out.
+        assert_eq!(link.written(), 1);
+        let probed = link.probe(Frame::Heartbeat { session: 0 }).unwrap();
+        assert_eq!(probed, Probe::Sent);
     }
 }

@@ -161,9 +161,8 @@ pub enum Frame {
         answer: QloveAnswer,
     },
     /// Connection end. The coordinator sends it when every stream is
-    /// exhausted; the worker drains all remaining sessions,
-    /// acknowledges with its own `Shutdown`, and returns. Sessions
-    /// still open are finalized implicitly.
+    /// exhausted; the worker acknowledges with its own `Shutdown` and
+    /// returns. Sessions still open are finalized implicitly.
     Shutdown,
     /// Liveness probe, either direction. A worker that receives one
     /// echoes a `Heartbeat` with the same session ID immediately — the
@@ -203,9 +202,8 @@ pub enum Frame {
         checkpoint: QloveSummary,
     },
     /// Session end, both directions. The coordinator sends one when a
-    /// session's stream is exhausted; the worker drains that session's
-    /// pending input, ships any responses still due, acknowledges with
-    /// its own `CloseSession`, and frees the slot — while every other
+    /// session's stream is exhausted; the worker acknowledges with its
+    /// own `CloseSession` and forgets the session — while every other
     /// session on the connection keeps running.
     CloseSession {
         /// Which session to retire.

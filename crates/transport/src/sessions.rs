@@ -21,8 +21,10 @@
 //! own ring; sessions whose close was already acknowledged stay
 //! closed. Because recovery is replay-based it requires every session
 //! to be in shard mode: a remote full operator's state cannot be
-//! rebuilt (see [`crate::run_remote_operator`]), so a supervised
-//! mixed-mode run is rejected up front.
+//! rebuilt, so a supervised run with an operator session is rejected up
+//! front. An operator session runs unsupervised, or detection-only
+//! under a policy with `max_restarts: 0`: its heartbeat and write
+//! deadline turn a dead or hung worker into an error instead of a hang.
 
 use crate::collector::Collector;
 use crate::coordinator::{join_io, RecoveryPolicy, WorkerStats};
@@ -159,8 +161,8 @@ impl<'a> DealCursor<'a> {
             };
         }
         // Scrape the session's worker-side counters while it is still
-        // live — a closed session is gone from the worker's slab and
-        // would only answer zeros. The request rides the replay ring
+        // live — a closed session is gone from the worker and would
+        // only answer zeros. The request rides the replay ring
         // like any other dealt frame, so a recovering worker re-answers
         // it and the collector keeps the latest report.
         if !self.stats_sent {
@@ -205,8 +207,9 @@ pub fn run_sessions(conn: Conn, specs: &[SessionSpec]) -> io::Result<Vec<Session
 /// alone. Requires every spec to be in shard mode ([`WorkerMode::
 /// Shard`]): operator sessions hold remote-only state that replay
 /// cannot rebuild, so supervising them is rejected with
-/// `InvalidInput` (run them unsupervised, or detect-only via
-/// [`crate::run_remote_operator_with_policy`]).
+/// `InvalidInput`. Under a policy with `max_restarts: 0` nothing is
+/// supervised, so operator sessions run detection-only: `respawn` is
+/// never called, and a failed worker ends the run with an error.
 pub fn run_sessions_supervised<F>(
     conn: Conn,
     specs: &[SessionSpec],

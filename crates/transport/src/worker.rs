@@ -15,27 +15,24 @@
 //!   is shipped back as an `Answer` frame, bit-identical to a local
 //!   run.
 //!
-//! ## Fairness and backpressure
+//! ## Arrival order
 //!
-//! Sessions live in a slab of independent states. Incoming
-//! `EventBatch` frames are *queued* per session rather than ingested
-//! inline, so a session's `Boundary` (or `CloseSession`) never waits
-//! behind another session's backlog: the expensive ingest work is
-//! scheduled **round-robin** — one queued batch per session per
-//! scheduling slice — whenever the socket is quiet (a short read
-//! timeout drives idle slices) and after every dispatched frame.
-//! Each queue is bounded at [`MAX_PENDING_BATCHES_PER_SESSION`]
-//! batches: a hot session that outruns the scheduler pays its own
-//! ingest cost inline instead of ballooning memory or starving its
-//! neighbors.
+//! Every frame is handled as it arrives, in one in-order path: an
+//! `EventBatch` is ingested on receipt, a `Boundary` ships its summary
+//! at once. A shard's state is an order-insensitive frequency multiset,
+//! so holding a batch back would buy nothing. Fairness between the
+//! sessions on a connection is the dealer's round-robin plus each
+//! session's ring budget
+//! ([`MAX_RING_BOUNDARIES`](crate::MAX_RING_BOUNDARIES)); backpressure
+//! is the socket itself, since a worker that falls behind simply reads
+//! later.
 //!
-//! A session ends with a `CloseSession` exchange (its slot is freed and
-//! immediately reusable); the connection ends with a `Shutdown`
-//! exchange that drains every remaining session first. A coordinator
-//! that simply disappears (crash, kill) surfaces as an I/O error and
-//! the worker still returns promptly — a worker process outlives any
-//! one *session*, but never its *connection*, which is what keeps CI
-//! free of leaked processes.
+//! A session ends with a `CloseSession` exchange (its ID may then be
+//! opened again); the connection ends with a `Shutdown` exchange. A
+//! coordinator that simply disappears (crash, kill) surfaces as an I/O
+//! error and the worker still returns promptly — a worker process
+//! outlives any one *session*, but never its *connection*, which is
+//! what keeps CI free of leaked processes.
 //!
 //! Protocol violations (frames out of order, unknown session IDs,
 //! wrong role, version skew, malformed payloads) are `InvalidData`
@@ -44,22 +41,8 @@
 use crate::net::{Conn, Endpoint, Listener};
 use crate::proto::{Frame, FrameReader, FrameWriter, Role, WorkerMode, PROTOCOL_VERSION};
 use qlove_core::{Qlove, QloveAnswer, QloveConfig, QloveShard};
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{self, BufReader};
-use std::time::Duration;
-
-/// Bound on each session's queue of not-yet-ingested `EventBatch`
-/// frames. When a session is dealt batches faster than the round-robin
-/// scheduler drains them, the frames beyond this bound are ingested
-/// inline on arrival — per-session backpressure that keeps worker
-/// memory bounded without ever blocking the other sessions on the
-/// connection.
-pub const MAX_PENDING_BATCHES_PER_SESSION: usize = 8;
-
-/// Read deadline armed on the connection while any session has queued
-/// input: a quiet socket yields the event loop to the scheduler this
-/// often. Disarmed (blocking reads) whenever every queue is empty.
-const BUSY_POLL: Duration = Duration::from_millis(1);
 
 /// What one completed session looked like, for logging and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +71,7 @@ pub struct SessionReport {
 
 /// What a completed connection looked like: one report per session, in
 /// the order the sessions finished (explicit `CloseSession` first, then
-/// any still open at `Shutdown`, in slot order).
+/// any still open at `Shutdown`, in session-ID order).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeReport {
     /// Per-session accounting.
@@ -114,13 +97,6 @@ impl ServeReport {
 
 fn protocol(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 /// The mode-specific half of a session's state.
@@ -152,8 +128,7 @@ enum SessionCore {
     },
 }
 
-/// One live session: its operator state plus the queue of dealt
-/// batches the scheduler has not ingested yet.
+/// One live session: its operator state and its counters.
 struct Session {
     id: u64,
     core: SessionCore,
@@ -162,7 +137,6 @@ struct Session {
     batches: u64,
     /// Open timestamp on the shared monotonic telemetry clock.
     opened_us: u64,
-    pending: VecDeque<Vec<u64>>,
 }
 
 impl Session {
@@ -187,7 +161,6 @@ impl Session {
             events: 0,
             batches: 0,
             opened_us: qlove_telemetry::now_us(),
-            pending: VecDeque::new(),
         }
     }
 
@@ -198,24 +171,27 @@ impl Session {
         }
     }
 
-    /// Ingest one queued batch (front of the queue), shipping any
-    /// answers it produces (operator mode). Returns whether a batch was
-    /// ingested.
-    fn ingest_one<W: io::Write>(&mut self, writer: &mut FrameWriter<W>) -> io::Result<bool> {
-        let Some(values) = self.pending.pop_front() else {
-            return Ok(false);
-        };
+    /// Ingest one dealt batch, shipping any answers it produces
+    /// (operator mode).
+    fn ingest<W: io::Write>(
+        &mut self,
+        values: &[u64],
+        writer: &mut FrameWriter<W>,
+    ) -> io::Result<()> {
         self.events += values.len() as u64;
         self.batches += 1;
         match &mut self.core {
-            SessionCore::Shard { shard, .. } => shard.push_batch(&values),
+            SessionCore::Shard { shard, virgin, .. } => {
+                *virgin = false;
+                shard.push_batch(values);
+            }
             SessionCore::Operator {
                 op,
                 produced,
                 scratch,
             } => {
                 scratch.clear();
-                op.push_batch_into(&values, scratch);
+                op.push_batch_into(values, scratch);
                 for answer in scratch.iter() {
                     writer.write_frame(&Frame::Answer {
                         session: self.id,
@@ -229,12 +205,6 @@ impl Session {
                 }
             }
         }
-        Ok(true)
-    }
-
-    /// Ingest everything still queued, in order.
-    fn drain<W: io::Write>(&mut self, writer: &mut FrameWriter<W>) -> io::Result<()> {
-        while self.ingest_one(writer)? {}
         Ok(())
     }
 
@@ -274,127 +244,22 @@ impl Session {
     }
 }
 
-/// The slab of live sessions plus the round-robin scheduler cursor.
-/// Slots are reused through a free list so long-lived connections
-/// churning short-lived sessions stay compact.
-struct SessionSlab {
-    slots: Vec<Option<Session>>,
-    free: Vec<usize>,
-    index: HashMap<u64, usize>,
-    cursor: usize,
-}
-
-impl SessionSlab {
-    fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            cursor: 0,
-        }
-    }
-
-    fn open(&mut self, session: Session) -> io::Result<()> {
-        if self.index.contains_key(&session.id) {
-            return Err(protocol(format!("session {} is already open", session.id)));
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(session);
-                slot
-            }
-            None => {
-                self.slots.push(Some(session));
-                self.slots.len() - 1
-            }
-        };
-        let id = self.slots[slot].as_ref().expect("just inserted").id;
-        self.index.insert(id, slot);
-        Ok(())
-    }
-
-    fn get(&mut self, id: u64, what: &str) -> io::Result<&mut Session> {
-        match self.index.get(&id) {
-            Some(&slot) => Ok(self.slots[slot].as_mut().expect("indexed slot is live")),
-            None => Err(protocol(format!("{what} for unknown session {id}"))),
-        }
-    }
-
-    /// Non-erroring lookup, for frames (stats scrape) that answer even
-    /// when the session is unknown.
-    fn peek(&self, id: u64) -> Option<&Session> {
-        self.index
-            .get(&id)
-            .map(|&slot| self.slots[slot].as_ref().expect("indexed slot is live"))
-    }
-
-    fn close(&mut self, id: u64) -> io::Result<Session> {
-        let slot = self
-            .index
-            .remove(&id)
-            .ok_or_else(|| protocol(format!("close for unknown session {id}")))?;
-        self.free.push(slot);
-        Ok(self.slots[slot].take().expect("indexed slot is live"))
-    }
-
-    /// Whether any session has queued input for the scheduler.
-    fn has_pending(&self) -> bool {
-        self.slots.iter().flatten().any(|s| !s.pending.is_empty())
-    }
-
-    /// One scheduling slice: give every live session one queued batch
-    /// of ingest, starting after wherever the last slice stopped
-    /// (round-robin, so a slice's worth of progress is spread evenly).
-    fn slice_all<W: io::Write>(&mut self, writer: &mut FrameWriter<W>) -> io::Result<()> {
-        let n = self.slots.len();
-        for step in 0..n {
-            let slot = (self.cursor + step) % n;
-            if let Some(session) = self.slots[slot].as_mut() {
-                session.ingest_one(writer)?;
-            }
-        }
-        self.cursor = if n == 0 { 0 } else { (self.cursor + 1) % n };
-        Ok(())
-    }
-
-    /// A minimal slice: advance the cursor to the next session with
-    /// queued input and ingest one batch from it. Called after every
-    /// dispatched frame so ingest keeps pace with a busy socket.
-    fn slice_one<W: io::Write>(&mut self, writer: &mut FrameWriter<W>) -> io::Result<()> {
-        let n = self.slots.len();
-        for step in 0..n {
-            let slot = (self.cursor + step) % n;
-            if let Some(session) = self.slots[slot].as_mut() {
-                if session.ingest_one(writer)? {
-                    self.cursor = (slot + 1) % n;
-                    return Ok(());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Drain every live session's queue (connection shutdown).
-    fn drain_all<W: io::Write>(&mut self, writer: &mut FrameWriter<W>) -> io::Result<()> {
-        for session in self.slots.iter_mut().flatten() {
-            session.drain(writer)?;
-        }
-        Ok(())
-    }
-
-    /// Reports for every session still open, in slot order.
-    fn reports(&self) -> Vec<SessionReport> {
-        self.slots.iter().flatten().map(Session::report).collect()
-    }
+/// The live session `id`, or `InvalidData` naming the frame (`what`)
+/// that referred to an unknown one.
+fn live<'a>(
+    sessions: &'a mut BTreeMap<u64, Session>,
+    id: u64,
+    what: &str,
+) -> io::Result<&'a mut Session> {
+    sessions
+        .get_mut(&id)
+        .ok_or_else(|| protocol(format!("{what} for unknown session {id}")))
 }
 
 /// Serve one full connection — every session the coordinator opens on
 /// it — until the coordinator shuts the connection down (or errors
 /// out).
 pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
-    // The third handle exists to flip the read deadline that drives
-    // idle scheduler slices; socket options are shared across clones.
-    let ctrl = conn.try_clone()?;
     let read_half = conn.try_clone()?;
     let mut reader = FrameReader::new(BufReader::new(read_half));
     let mut writer = FrameWriter::new(conn);
@@ -422,57 +287,27 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
     })?;
     writer.flush()?;
 
-    let mut slab = SessionSlab::new();
+    let mut sessions: BTreeMap<u64, Session> = BTreeMap::new();
     let mut finished: Vec<SessionReport> = Vec::new();
-    let mut armed = false;
     loop {
-        // Arm a short read deadline only while the scheduler has work;
-        // otherwise block (no idle spinning between streams).
-        let want_armed = slab.has_pending();
-        if want_armed != armed {
-            ctrl.set_read_timeout(if want_armed { Some(BUSY_POLL) } else { None })?;
-            armed = want_armed;
-        }
-        let frame = match reader.try_read_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "coordinator closed the connection mid-stream",
-                ))
-            }
-            Err(e) if is_timeout(&e) => {
-                slab.slice_all(&mut writer)?;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        match frame {
+        match reader.read_frame()? {
             Frame::OpenSession {
                 session,
                 config,
                 mode,
             } => {
+                let Entry::Vacant(slot) = sessions.entry(session) else {
+                    return Err(protocol(format!("session {session} is already open")));
+                };
                 // The decoder has already validated the config, so
                 // constructing the operator cannot panic.
-                slab.open(Session::new(session, &config, mode))?;
+                slot.insert(Session::new(session, &config, mode));
             }
             Frame::EventBatch { session, values } => {
-                let s = slab.get(session, "event batch")?;
-                if let SessionCore::Shard { virgin, .. } = &mut s.core {
-                    *virgin = false;
-                }
-                s.pending.push_back(values);
-                // Per-session backpressure: beyond the bound, the hot
-                // session pays its own ingest inline.
-                while s.pending.len() > MAX_PENDING_BATCHES_PER_SESSION {
-                    s.ingest_one(&mut writer)?;
-                }
+                live(&mut sessions, session, "event batch")?.ingest(&values, &mut writer)?;
             }
             Frame::Boundary { session, boundary } => {
-                let s = slab.get(session, "boundary")?;
-                s.drain(&mut writer)?;
-                match &mut s.core {
+                match &mut live(&mut sessions, session, "boundary")?.core {
                     SessionCore::Shard {
                         shard,
                         boundaries,
@@ -517,7 +352,7 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                 // this incarnation) answers with zero counters instead
                 // of erroring, so stats collection can never kill a
                 // healthy connection.
-                let report = match slab.peek(session) {
+                let report = match sessions.get(&session) {
                     Some(s) => s.stats_frame(),
                     None => Frame::StatsReport {
                         session,
@@ -534,39 +369,34 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                 session,
                 boundary,
                 checkpoint,
-            } => {
-                let s = slab.get(session, "restore")?;
-                match &mut s.core {
-                    SessionCore::Shard {
-                        shard,
-                        boundaries,
-                        virgin,
-                        ..
-                    } => {
-                        if !*virgin {
-                            return Err(protocol(format!(
-                                "session {session}: restore to boundary {boundary} \
-                                 after session traffic"
-                            )));
-                        }
-                        *virgin = false;
-                        *boundaries = boundary;
-                        shard.restore(&checkpoint);
-                    }
-                    SessionCore::Operator { .. } => {
+            } => match &mut live(&mut sessions, session, "restore")?.core {
+                SessionCore::Shard {
+                    shard,
+                    boundaries,
+                    virgin,
+                    ..
+                } => {
+                    if !*virgin {
                         return Err(protocol(format!(
-                            "session {session}: restore in operator mode \
-                             (operator state is not replayable)"
-                        )))
+                            "session {session}: restore to boundary {boundary} \
+                                 after session traffic"
+                        )));
                     }
+                    *virgin = false;
+                    *boundaries = boundary;
+                    shard.restore(&checkpoint);
                 }
-            }
+                SessionCore::Operator { .. } => {
+                    return Err(protocol(format!(
+                        "session {session}: restore in operator mode \
+                             (operator state is not replayable)"
+                    )))
+                }
+            },
             Frame::CloseSession { session } => {
-                {
-                    let s = slab.get(session, "close")?;
-                    s.drain(&mut writer)?;
-                }
-                let closed = slab.close(session)?;
+                let closed = sessions
+                    .remove(&session)
+                    .ok_or_else(|| protocol(format!("close for unknown session {session}")))?;
                 finished.push(closed.report());
                 writer.write_frame(&Frame::CloseSession { session })?;
                 writer.flush()?;
@@ -576,8 +406,7 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                 boundary,
                 epoch,
             } => {
-                let s = slab.get(session, "reshard")?;
-                match &mut s.core {
+                match &mut live(&mut sessions, session, "reshard")?.core {
                     SessionCore::Shard {
                         boundaries,
                         virgin,
@@ -612,8 +441,7 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                 }
             }
             Frame::Shutdown => {
-                slab.drain_all(&mut writer)?;
-                finished.extend(slab.reports());
+                finished.extend(sessions.values().map(Session::report));
                 writer.write_frame(&Frame::Shutdown)?;
                 writer.flush()?;
                 return Ok(ServeReport { sessions: finished });
@@ -627,10 +455,6 @@ pub fn serve_stream(conn: Conn) -> io::Result<ServeReport> {
                 )))
             }
         }
-        // Fairness between frames: one queued batch of ingest for the
-        // next session in round-robin order, so a busy socket (which
-        // starves the idle-timeout slices) still makes even progress.
-        slab.slice_one(&mut writer)?;
     }
 }
 
@@ -664,78 +488,98 @@ impl WorkerServer {
 mod tests {
     use super::*;
 
+    fn config() -> QloveConfig {
+        QloveConfig::new(&[0.5], 100, 10)
+    }
+
     fn dummy(id: u64) -> Session {
-        Session::new(id, &QloveConfig::new(&[0.5], 100, 10), WorkerMode::Shard)
+        Session::new(id, &config(), WorkerMode::Shard)
     }
 
-    #[test]
-    fn slab_reuses_slots_and_rejects_duplicates() {
-        let mut slab = SessionSlab::new();
-        slab.open(dummy(1)).unwrap();
-        slab.open(dummy(2)).unwrap();
-        slab.open(dummy(3)).unwrap();
-        assert_eq!(slab.slots.len(), 3);
-        assert!(slab.open(dummy(2)).is_err(), "duplicate id");
-        slab.close(2).unwrap();
-        assert!(slab.get(2, "x").is_err(), "closed session is gone");
-        // Reopening (even the same wire id) reuses the freed slot.
-        slab.open(dummy(9)).unwrap();
-        assert_eq!(slab.slots.len(), 3, "slot was reused, not appended");
-        assert!(slab.close(9).is_ok());
-        assert!(slab.close(9).is_err(), "double close");
-    }
-
-    #[test]
-    fn slab_round_robin_spreads_ingest() {
-        // Three sessions with queued batches: repeated slice_one calls
-        // must rotate through them instead of draining one first.
-        let mut slab = SessionSlab::new();
-        for id in 0..3u64 {
-            slab.open(dummy(id)).unwrap();
-            let s = slab.get(id, "t").unwrap();
-            for _ in 0..2 {
-                s.pending.push_back(vec![id, id + 10]);
-            }
+    /// Serve one connection over a socketpair, fed `frames` after the
+    /// coordinator hello: the worker's result and every frame it sent.
+    #[cfg(unix)]
+    fn serve(frames: &[Frame]) -> (io::Result<ServeReport>, Vec<Frame>) {
+        let (ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+        let worker = std::thread::spawn(move || serve_stream(Conn::Unix(theirs)));
+        let ours = Conn::Unix(ours);
+        let mut reader = FrameReader::new(BufReader::new(ours.try_clone().unwrap()));
+        let mut writer = FrameWriter::new(ours);
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+            role: Role::Coordinator,
+        };
+        for frame in std::iter::once(&hello).chain(frames) {
+            writer.write_frame(frame).unwrap();
         }
-        let mut sink = FrameWriter::new(Vec::new());
-        let mut order = Vec::new();
-        for _ in 0..6 {
-            // Find who the cursor will pick by comparing queue lengths
-            // before and after.
-            let before: Vec<usize> = (0..3u64)
-                .map(|id| slab.get(id, "t").unwrap().pending.len())
-                .collect();
-            slab.slice_one(&mut sink).unwrap();
-            for id in 0..3u64 {
-                if slab.get(id, "t").unwrap().pending.len() < before[id as usize] {
-                    order.push(id);
-                }
-            }
-        }
-        assert_eq!(order, vec![0, 1, 2, 0, 1, 2], "round-robin rotation");
-        assert!(!slab.has_pending(), "all queues drained");
+        writer.flush().unwrap();
+        let result = worker.join().unwrap();
+        // Everything the worker wrote before it hung up, then EOF (or a
+        // reset, when it left frames unread).
+        let replies = std::iter::from_fn(|| reader.try_read_frame().ok().flatten()).collect();
+        (result, replies)
     }
 
+    #[cfg(unix)]
     #[test]
-    fn slab_slice_skips_empty_queues() {
-        let mut slab = SessionSlab::new();
-        slab.open(dummy(0)).unwrap();
-        slab.open(dummy(1)).unwrap();
-        slab.get(1, "t").unwrap().pending.push_back(vec![7]);
-        let mut sink = FrameWriter::new(Vec::new());
-        slab.slice_one(&mut sink).unwrap();
-        assert!(!slab.has_pending(), "slice found the non-empty queue");
-        // Empty slab: slices are no-ops, not panics.
-        let mut empty = SessionSlab::new();
-        empty.slice_one(&mut sink).unwrap();
-        empty.slice_all(&mut sink).unwrap();
-        assert!(!empty.has_pending());
+    fn sessions_reject_duplicates_and_unknown_closes_and_reopen_after_close() {
+        let open = |session| Frame::OpenSession {
+            session,
+            config: config(),
+            mode: WorkerMode::Shard,
+        };
+        let close = |session| Frame::CloseSession { session };
+        let invalid =
+            |r: io::Result<ServeReport>| r.unwrap_err().kind() == io::ErrorKind::InvalidData;
+        assert!(
+            invalid(serve(&[open(1), open(2), open(1)]).0),
+            "duplicate open"
+        );
+        assert!(
+            invalid(serve(&[open(1), close(9)]).0),
+            "close of an unknown id"
+        );
+        assert!(
+            invalid(serve(&[open(1), close(1), close(1)]).0),
+            "double close"
+        );
+
+        // A closed id opens again as a fresh session. Reports list the
+        // closed session first, then the open ones in id order.
+        let (result, replies) = serve(&[
+            open(5),
+            open(1),
+            open(3),
+            Frame::EventBatch {
+                session: 1,
+                values: vec![7, 8],
+            },
+            close(1),
+            open(1),
+            Frame::EventBatch {
+                session: 1,
+                values: vec![9],
+            },
+            Frame::Shutdown,
+        ]);
+        let report = result.unwrap();
+        let order: Vec<(u64, u64)> = report
+            .sessions
+            .iter()
+            .map(|s| (s.session, s.events))
+            .collect();
+        assert_eq!(order, [(1, 2), (1, 1), (3, 0), (5, 0)]);
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+            role: Role::Worker,
+        };
+        assert_eq!(replies, [hello, close(1), Frame::Shutdown]);
     }
 
     #[test]
     fn restored_session_reports_only_shipped_responses() {
-        // The satellite bugfix: a session restored to boundary 5 that
-        // then ships 2 summaries must report responses == 2, not 7.
+        // A session restored to boundary 5 that then ships 2 summaries
+        // must report responses == 2, not 7.
         let mut session = dummy(0);
         let mut sink = FrameWriter::new(Vec::new());
         match &mut session.core {
@@ -747,8 +591,7 @@ mod tests {
             }
             SessionCore::Operator { .. } => unreachable!(),
         }
-        session.pending.push_back(vec![1, 2, 3]);
-        session.drain(&mut sink).unwrap();
+        session.ingest(&[1, 2, 3], &mut sink).unwrap();
         match &mut session.core {
             SessionCore::Shard {
                 boundaries,

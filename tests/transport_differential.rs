@@ -25,8 +25,8 @@ use qlove::core::{AnswerSource, Backend, FewKConfig, Qlove, QloveAnswer, QloveCo
 use qlove::stream::parallel::BATCH;
 use qlove::telemetry::{EventJournal, EventKind};
 use qlove::transport::{
-    run_over_sockets, run_remote_operator, run_sessions, run_sessions_supervised, run_supervised,
-    Conn, Endpoint, RecoveryPolicy, SessionSpec, WorkerMode, WorkerServer,
+    run_over_sockets, run_sessions, run_sessions_supervised, run_supervised, Conn, Endpoint,
+    RecoveryPolicy, SessionSpec, WorkerMode, WorkerServer,
 };
 use qlove::workloads::NormalGen;
 use std::io::{BufRead, BufReader, Write};
@@ -288,9 +288,13 @@ fn remote_operator_answers_cross_process_bit_identically() {
         let (want, _) = sequential_qlove(&cfg, &data);
         assert!(!want.is_empty());
         let worker = WorkerProc::spawn(&endpoint_specs(1, family, "remote")[0]);
-        let answers =
-            run_remote_operator(&cfg, worker.connect(), &data).expect("remote operator run");
-        assert_eq!(answers, want, "{family}");
+        let spec = SessionSpec {
+            config: cfg,
+            mode: WorkerMode::Operator,
+            values: data.clone(),
+        };
+        let outcomes = run_sessions(worker.connect(), &[spec]).expect("remote operator run");
+        assert_eq!(outcomes[0].answers, want, "{family}");
         let outcome = worker.join();
         assert!(
             outcome.contains(&format!("responses={}", want.len())),
